@@ -10,22 +10,15 @@ classical-teleportation, eavesdropping and cloning scenarios.
 __version__ = "0.1.0"
 
 from .backaction import (
-    ConditionalDisturbance,
-    DecompositionReport,
     DisturbanceRecord,
     DisturbanceReport,
-    JointEstimates,
     JointRetrodiction,
     ResolutionDisturbanceCheck,
-    SequenceCheck,
     averaged_disturbance,
-    conditional_disturbance,
-    decomposition_check,
-    joint_estimates,
+    disturbance_forms,
     joint_retrodictions,
-    joint_retrodictive_state,
     resolution_disturbance_check,
-    sequence_uncertainty_check,
+    sequence_statistics,
 )
 from .characterize import (
     CharacterizationReport,
@@ -51,7 +44,6 @@ from .errors import (
     UnknownObservable,
     UnknownOutcome,
     UnreachableOutcome,
-    UnreachableSequence,
     ZeroProbabilityOutcome,
 )
 from .measurement import (

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    UnreachableOutcome,
-    UnreachableSequence,
-)
+from .errors import InternalConsistencyError, UnreachableOutcome
 from .measurement import (
     SLACK_TOL,
     UNREACHABLE_TRACE_FLOOR,
@@ -36,9 +31,8 @@ from .operators import (
     require_square,
 )
 
-# Final outcomes whose weight w_m(B_f) falls below this floor are dropped from
-# averages (their exact weight is a rounding-level zero) and rejected when
-# queried directly.
+# Final outcomes whose weight w_m(B_f) falls below this floor are dropped
+# (their exact weight is a rounding-level zero).
 WEIGHT_FLOOR = 1e-14
 
 # Absolute tolerance on redundant evaluations of the same quantity.
@@ -88,26 +82,6 @@ def joint_retrodictions(operator, observable: HermitianObservable) -> list[Joint
     return out
 
 
-def joint_retrodictive_state(operator, observable: HermitianObservable,
-                             eigen_index: int) -> JointRetrodiction:
-    """Joint retrodiction for one final eigenvector of the observable."""
-    op, total = _prepare(operator, observable)
-    f = int(eigen_index)
-    if not 0 <= f < observable.dim:
-        raise IndexError(f"eigen-index {f} out of range for dim {observable.dim}")
-    u = op.conj().T @ observable.eigenvectors[:, f]
-    q = float(np.vdot(u, u).real)
-    weight = q / total
-    if weight < WEIGHT_FLOOR:
-        raise UnreachableSequence(
-            f"final result {observable.eigenvalues[f]:.6g} never follows this "
-            f"outcome (weight {weight:.3e})")
-    state = u / np.sqrt(q)
-    state.setflags(write=False)
-    return JointRetrodiction(final_value=float(observable.eigenvalues[f]),
-                             state=state, weight=weight, eigen_index=f)
-
-
 def _mean_and_var(state: np.ndarray, matrix: np.ndarray) -> tuple[float, float]:
     """First moment and central variance of a Hermitian matrix in a pure state."""
     mean = float(np.vdot(state, matrix @ state).real)
@@ -115,62 +89,47 @@ def _mean_and_var(state: np.ndarray, matrix: np.ndarray) -> tuple[float, float]:
     return mean, float(np.vdot(shifted, shifted).real)
 
 
-@dataclass(frozen=True)
-class JointEstimates:
-    """Optimal estimates of both observables given outcome m and final result B_f."""
-
-    estimate_a: float
-    estimate_b: float
-    var_a: float
-    var_b: float
-
-
-def joint_estimates(retro: JointRetrodiction, observable_a: HermitianObservable,
-                    observable_b: HermitianObservable) -> JointEstimates:
-    require_same_dim(observable_a.matrix, observable_b.matrix)
-    if observable_a.dim != retro.state.shape[0]:
-        raise DimensionMismatch(
-            f"observables have dimension {observable_a.dim}, "
-            f"retrodicted state has {retro.state.shape[0]}")
-    mean_a, var_a = _mean_and_var(retro.state, observable_a.matrix)
-    mean_b, var_b = _mean_and_var(retro.state, observable_b.matrix)
-    return JointEstimates(estimate_a=mean_a, estimate_b=mean_b,
-                          var_a=var_a, var_b=var_b)
+def _abs_expectation(state: np.ndarray, matrix: np.ndarray) -> float:
+    """|<state|matrix|state>|; for [A, B] the per-sequence commutator bound."""
+    return abs(np.vdot(state, matrix @ state))
 
 
 @dataclass(frozen=True)
-class ConditionalDisturbance:
-    """Damage to the observable for one (outcome, final result) sequence.
+class SequenceStatistics:
+    """Statistics of one (outcome, final result B_f) sequence in its joint
+    retrodiction r_mf.
 
-    total = random + systematic: the variance of B in the retrodicted state
-    plus the squared shift between the final value and the best input estimate.
+    ``disturbance`` is <r_mf|(B_f - B)^2|r_mf>, which splits into the random
+    part ``var_b`` plus the systematic shift (B_f - ``mean_b``)^2;
+    ``abs_commutator`` is |<r_mf|[A,B]|r_mf>|.
     """
 
-    final_value: float
-    estimate: float
-    total: float
-    random: float
-    systematic: float
+    joint: JointRetrodiction
+    mean_a: float
+    var_a: float
+    mean_b: float
+    var_b: float
+    disturbance: float
+    abs_commutator: float
 
 
-def _disturbance_parts(retro: JointRetrodiction,
-                       matrix: np.ndarray) -> ConditionalDisturbance:
-    mean, var = _mean_and_var(retro.state, matrix)
-    shifted = matrix @ retro.state - retro.final_value * retro.state
-    total = float(np.vdot(shifted, shifted).real)
-    systematic = (retro.final_value - mean) ** 2
-    if abs(total - (var + systematic)) > IDENTITY_TOL * max(1.0, abs(total)):
-        raise InternalConsistencyError(
-            f"disturbance split {var + systematic:.12e} != total {total:.12e}")
-    return ConditionalDisturbance(final_value=retro.final_value, estimate=mean,
-                                  total=total, random=var, systematic=systematic)
-
-
-def conditional_disturbance(operator, observable: HermitianObservable,
-                            eigen_index: int) -> ConditionalDisturbance:
-    """<r_mf|(B_f - B)^2|r_mf> split into random and systematic parts."""
-    retro = joint_retrodictive_state(operator, observable, eigen_index)
-    return _disturbance_parts(retro, observable.matrix)
+def sequence_statistics(operator, observable_a: HermitianObservable,
+                        observable_b: HermitianObservable,
+                        comm: np.ndarray) -> list[SequenceStatistics]:
+    """Per-sequence estimates, variances, disturbance and commutator magnitude
+    for every reachable final result of B; ``comm`` is [A, B]."""
+    require_same_dim(observable_a.matrix, observable_b.matrix, comm)
+    b = observable_b.matrix
+    out = []
+    for j in joint_retrodictions(operator, observable_b):
+        mean_a, var_a = _mean_and_var(j.state, observable_a.matrix)
+        mean_b, var_b = _mean_and_var(j.state, b)
+        shifted = b @ j.state - j.final_value * j.state
+        out.append(SequenceStatistics(
+            joint=j, mean_a=mean_a, var_a=var_a, mean_b=mean_b, var_b=var_b,
+            disturbance=float(np.vdot(shifted, shifted).real),
+            abs_commutator=_abs_expectation(j.state, comm)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,13 +162,15 @@ class DisturbanceReport:
         return abs(self.value - self.trace_form)
 
 
-def averaged_disturbance(operator, observable: HermitianObservable,
-                         identity_tol: float = IDENTITY_TOL) -> DisturbanceReport:
-    """Average squared change of the observable over all inputs and final results."""
-    op, total = _prepare(operator, observable)
+def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
+                      total: float) -> tuple[float, float]:
+    """The averaged disturbance computed two independent ways, unclamped.
+
+    Returns the eigenbasis double sum and the trace form described on
+    DisturbanceReport, both divided by ``total`` = tr{M'M}.
+    """
     vals = observable.eigenvalues
     vecs = observable.eigenvectors
-
     sandwich = vecs.conj().T @ op @ vecs          # <B_f|M|B_i>
     weights2 = np.abs(sandwich) ** 2
     gaps2 = (vals[:, None] - vals[None, :]) ** 2  # (B_f - B_i)^2
@@ -220,10 +181,17 @@ def averaged_disturbance(operator, observable: HermitianObservable,
     adj = op.conj().T
     trace_form = float((np.trace(adj @ b2 @ op) + np.trace(b2 @ adj @ op)
                         - 2.0 * np.trace(adj @ b @ op @ b)).real) / total
+    return eigensum, trace_form
+
+
+def averaged_disturbance(operator, observable: HermitianObservable) -> DisturbanceReport:
+    """Average squared change of the observable over all inputs and final results."""
+    op, total = _prepare(operator, observable)
+    eigensum, trace_form = disturbance_forms(op, observable, total)
     trace_form = max(0.0, trace_form)
     # absolute below unit scale, relative above (double precision cannot hold
     # an absolute 1e-10 on quantities of order 1e6)
-    if abs(eigensum - trace_form) > identity_tol * max(1.0, eigensum):
+    if abs(eigensum - trace_form) > IDENTITY_TOL * max(1.0, eigensum):
         raise InternalConsistencyError(
             f"disturbance eigenbasis sum {eigensum:.12e} and trace form "
             f"{trace_form:.12e} disagree")
@@ -239,7 +207,7 @@ def averaged_disturbance(operator, observable: HermitianObservable,
         mu1 = 0.0
         mu2 = 0.0
         for j in members:
-            mean, var = _mean_and_var(j.state, b)
+            mean, var = _mean_and_var(j.state, observable.matrix)
             mu1 += j.weight / group_w * mean
             mu2 += j.weight / group_w * (var + mean ** 2)
         random_part = clamp_variance(mu2 - mu1 ** 2)
@@ -251,99 +219,6 @@ def averaged_disturbance(operator, observable: HermitianObservable,
     return DisturbanceReport(observable=observable.name or "B",
                              value=eigensum, trace_form=trace_form,
                              records=tuple(records))
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Consistency of the final-result decomposition of one outcome.
-
-    The weighted joint retrodictions must reassemble the retrodictive
-    operator, and the resolution must exceed the weighted average of the
-    sequence resolutions by exactly the spread of the sequence estimates.
-    """
-
-    reconstruction_error: float
-    resolution: float
-    averaged_resolution: float
-    gap: float
-    estimate_spread: float
-
-    @property
-    def gap_error(self) -> float:
-        return abs(self.gap - self.estimate_spread)
-
-
-def decomposition_check(operator, observable_a: HermitianObservable,
-                        observable_b: HermitianObservable) -> DecompositionReport:
-    """Verify R_m = sum_f w_m(B_f) |r_mf><r_mf| and the resolution averaging."""
-    retro = retrodictive_operator(operator)
-    require_same_dim(retro.matrix, observable_a.matrix, observable_b.matrix)
-    joints = joint_retrodictions(operator, observable_b)
-
-    recon = np.zeros_like(retro.matrix)
-    for j in joints:
-        recon = recon + j.weight * np.outer(j.state, j.state.conj())
-    reconstruction_error = float(np.max(np.abs(recon - retro.matrix)))
-
-    estimate = retro.expectation(observable_a)
-    resolution = retro.variance(observable_a)
-    averaged = 0.0
-    spread = 0.0
-    for j in joints:
-        mean, var = _mean_and_var(j.state, observable_a.matrix)
-        averaged += j.weight * var
-        spread += j.weight * (mean - estimate) ** 2
-    return DecompositionReport(
-        reconstruction_error=reconstruction_error,
-        resolution=resolution,
-        averaged_resolution=averaged,
-        gap=resolution - averaged,
-        estimate_spread=spread,
-    )
-
-
-@dataclass(frozen=True)
-class SequenceCheck:
-    """Uncertainty products for one (outcome, final result) sequence.
-
-    Both the product of the two sequence resolutions and the product of the
-    A-resolution with the B-disturbance must stay above the commutator bound
-    evaluated in the retrodicted state.
-    """
-
-    final_value: float
-    var_a: float
-    var_b: float
-    disturbance: float
-    bound: float
-    resolution_product: float
-    disturbance_product: float
-    resolution_slack: float
-    disturbance_slack: float
-    satisfied: bool
-
-
-def sequence_uncertainty_check(operator, observable_a: HermitianObservable,
-                               observable_b: HermitianObservable, eigen_index: int,
-                               slack_tol: float = SLACK_TOL) -> SequenceCheck:
-    require_same_dim(observable_a.matrix, observable_b.matrix)
-    retro = joint_retrodictive_state(operator, observable_b, eigen_index)
-    est = joint_estimates(retro, observable_a, observable_b)
-    dist = _disturbance_parts(retro, observable_b.matrix)
-    comm = commutator(observable_a.matrix, observable_b.matrix)
-    bound = 0.25 * abs(np.vdot(retro.state, comm @ retro.state)) ** 2
-    res_product = est.var_a * est.var_b
-    dist_product = est.var_a * dist.total
-    res_slack = res_product - bound
-    dist_slack = dist_product - bound
-    return SequenceCheck(
-        final_value=retro.final_value,
-        var_a=est.var_a, var_b=est.var_b, disturbance=dist.total,
-        bound=float(bound),
-        resolution_product=res_product, disturbance_product=dist_product,
-        resolution_slack=float(res_slack), disturbance_slack=float(dist_slack),
-        satisfied=bool(res_slack >= -slack_tol and dist_slack >= -slack_tol),
-    )
 
 
 @dataclass(frozen=True)
@@ -381,7 +256,7 @@ def resolution_disturbance_check(operator, observable_a: HermitianObservable,
 
     averaged_abs = 0.0
     for j in joint_retrodictions(operator, observable_b):
-        averaged_abs += j.weight * abs(np.vdot(j.state, comm @ j.state))
+        averaged_abs += j.weight * _abs_expectation(j.state, comm)
     averaged_bound = 0.25 * averaged_abs ** 2
 
     product = resolution * disturbance.value

@@ -8,10 +8,9 @@ Commands:
                 eavesdrop, cloning)
 
 Exit codes: 0 success, 1 semantic failure (validation or relation violation),
-2 input error (parse or schema problem). Reports embed a manifest with input
-digests, effective tolerances and the seed; identical manifests give
-byte-identical reports apart from the timestamp. QMETER_THREADS caps the
-parallelism of batch evaluation (default 1, strictly sequential output).
+2 input error (parse, schema or out-of-range argument). Reports embed a
+manifest with input digests, the tolerances that took effect and the seed;
+identical manifests give byte-identical reports apart from the timestamp.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .scenarios import (
 from .serialization import (
     characterization_rows,
     cloning_rows,
+    complex_vector_from_pairs,
     disturbance_record_rows,
     eavesdrop_rows,
     kraus_set_from_dict,
@@ -94,10 +94,17 @@ def parse_grid(text: str) -> list[float]:
 
 def parse_dims(text: str) -> tuple[int, ...]:
     s = text.strip()
-    if ".." in s:
-        lo, hi = s.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in s.split(",") if v)
+    try:
+        if ".." in s:
+            lo, hi = s.split("..", 1)
+            dims = tuple(range(int(lo), int(hi) + 1))
+        else:
+            dims = tuple(int(v) for v in s.split(",") if v)
+    except ValueError:
+        raise SchemaError(f"cannot parse dimensions {text!r}") from None
+    if any(d < 1 for d in dims):
+        raise SchemaError(f"dimensions must be positive, got {text!r}")
+    return dims
 
 
 def _write_outputs(out_dir, stem: str, report, manifest, tables, fmt: str) -> None:
@@ -122,20 +129,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _preset_space(args) -> BosonicSpace:
+    dim = args.dim or {"photon": 2, "qnd": 30, "classical-teleport": 60}[args.preset]
+    try:
+        return BosonicSpace(dim)
+    except ValueError as exc:
+        raise SchemaError(f"--dim {dim}: {exc}") from None
+
+
 def _characterize_inputs(args):
     """Resolve the Kraus set, observables and pairs for cmd_characterize."""
     inputs: dict[str, str] = {}
     if args.preset:
-        dim = args.dim or {"photon": 2, "qnd": 30, "classical-teleport": 60}[args.preset]
-        space = BosonicSpace(dim)
+        space = _preset_space(args)
+        dim = space.levels
+        default_names = ["n"]
         if args.preset == "photon":
             kraus = photon_detector_preset(space)
-            default_names = ["n"]
         else:  # qnd; classical-teleport never reaches here
             if args.sigma is None or args.grid is None:
                 raise SchemaError("--preset qnd needs --sigma and --grid")
-            kraus = qnd_preset(space, args.sigma, parse_grid(args.grid))
-            default_names = ["n"]
+            try:
+                kraus = qnd_preset(space, args.sigma, parse_grid(args.grid))
+            except ValueError as exc:
+                raise SchemaError(f"--preset qnd: {exc}") from None
     else:
         if not args.kraus_file:
             raise SchemaError("either a Kraus file or --preset is required")
@@ -167,10 +184,8 @@ def _characterize_inputs(args):
 def cmd_characterize(args) -> int:
     if args.preset == "classical-teleport":
         alpha = parse_complex(args.alpha or "0")
-        dim = args.dim or 60
-        body = classical_teleportation_preset(alpha, BosonicSpace(dim))
-        manifest = make_manifest(sys.argv[1:], {}, {"tol": args.tol},
-                                 args.seed, __version__)
+        body = classical_teleportation_preset(alpha, _preset_space(args))
+        manifest = make_manifest(sys.argv[1:], {}, {}, None, __version__)
         print(f"alpha estimate: {body.estimate.real:+.6f}{body.estimate.imag:+.6f}i")
         print(f"resolution x, y: {body.resolution_x:.6f}, {body.resolution_y:.6f}")
         print(f"disturbance x, y: {body.disturbance_x:.6f}, {body.disturbance_y:.6f}")
@@ -186,8 +201,7 @@ def cmd_characterize(args) -> int:
             completeness=report.completeness,
             declared_complete=report.declared_complete,
             outcomes=tuple(o for o in report.outcomes if o.outcome in keep))
-    manifest = make_manifest(sys.argv[1:], inputs, {"tol": args.tol},
-                             args.seed, __version__)
+    manifest = make_manifest(sys.argv[1:], inputs, {"tol": args.tol}, None, __version__)
 
     header, rows = characterization_rows(report)
     widths = [max(len(str(h)), 12) for h in header]
@@ -213,6 +227,8 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise SchemaError(f"--samples must be non-negative, got {args.samples}")
     report = run_verification_suite(
         dims=parse_dims(args.dims), samples=args.samples, seed=args.seed,
         slack_tol=args.tol, bound_scale=args.bound_scale)
@@ -265,10 +281,8 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
         name = observables["B"] if isinstance(observables["B"], str) else "B"
         obs_b = observable_from_spec(observables["B"], dim, name=name,
                                      where="config.observables.B")
-    states = tuple(
-        np.asarray(matrix_literal_vector(v, f"config.states[{i}]"))
-        for i, v in enumerate(obj.get("states", []))
-    )
+    states = tuple(matrix_literal_vector(v, f"config.states[{i}]")
+                   for i, v in enumerate(obj.get("states", [])))
     alpha = obj.get("alpha", 0)
     if isinstance(alpha, str):
         alpha = parse_complex(alpha)
@@ -294,12 +308,7 @@ def matrix_literal_vector(obj, where: str) -> np.ndarray:
     """States in configs are [[re, im], ...] amplitude lists."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a non-empty list of [re, im] pairs")
-    out = np.empty(len(obj), dtype=np.complex128)
-    for i, pair in enumerate(obj):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}[{i}]: expected [re, im]")
-        out[i] = complex(pair[0], pair[1])
-    return out
+    return complex_vector_from_pairs(obj, where)
 
 
 def cmd_scenario(args) -> int:
@@ -307,7 +316,7 @@ def cmd_scenario(args) -> int:
     config = _scenario_config_from_dict(config_obj, seed_override=args.seed)
     report = run_scenario(config)
     manifest = make_manifest(sys.argv[1:], {str(args.config): sha256_path(args.config)},
-                             {"tol": args.tol}, config.seed, __version__)
+                             {}, config.seed, __version__)
     print(f"scenario {report.scenario}: {'PASS' if report.passed else 'FAIL'}")
     if args.out:
         tables = {}
@@ -332,17 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, seed_default=None):
+    def add_completeness_tol(p):
         p.add_argument("--tol", type=float, default=COMPLETENESS_TOL,
-                       help="tolerance for the command's main check")
-        p.add_argument("--seed", type=int, default=seed_default)
+                       help="completeness tolerance")
+
+    def add_out(p, tables: bool):
         p.add_argument("--out", help="directory for report files")
-        p.add_argument("--format", choices=("json", "csv", "tsv"), default="csv",
-                       help="table format written alongside the JSON report")
+        if tables:
+            p.add_argument("--format", choices=("json", "csv", "tsv"), default="csv",
+                           help="table format written alongside the JSON report")
 
     p_validate = sub.add_parser("validate", help="check a Kraus-set file")
     p_validate.add_argument("file")
-    add_shared(p_validate)
+    add_completeness_tol(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
     p_char = sub.add_parser("characterize", help="characterize a measurement")
@@ -359,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--sigma", type=float, help="QND pointer width")
     p_char.add_argument("--grid", help="QND outcome grid, e.g. -10..40")
     p_char.add_argument("--alpha", help="coherent amplitude, e.g. 0.5+0.3i")
-    add_shared(p_char)
+    add_completeness_tol(p_char)
+    add_out(p_char, tables=True)
     p_char.set_defaults(func=cmd_characterize)
 
     p_verify = sub.add_parser("verify", help="randomized relation suite")
@@ -367,12 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_verify.add_argument("--bound-scale", type=float, default=1.0,
                           help="negative-control hook: inflate all bounds")
-    add_shared(p_verify, seed_default=DEFAULT_SEED)
-    p_verify.set_defaults(func=cmd_verify, tol=SLACK_TOL)
+    p_verify.add_argument("--tol", type=float, default=SLACK_TOL,
+                          help="slack tolerance for the relations")
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_out(p_verify, tables=False)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_scenario = sub.add_parser("scenario", help="run a scenario config")
     p_scenario.add_argument("config")
-    add_shared(p_scenario)
+    p_scenario.add_argument("--seed", type=int, help="override the config's seed")
+    add_out(p_scenario, tables=True)
     p_scenario.set_defaults(func=cmd_scenario)
     return parser
 

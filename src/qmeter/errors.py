@@ -42,11 +42,6 @@ class UnreachableOutcome(QmeterError):
     be inferred from it."""
 
 
-class UnreachableSequence(QmeterError):
-    """The (outcome, final value) sequence has zero probability for every
-    input state."""
-
-
 class InvalidWeights(QmeterError):
     """Mixture weights are negative or do not sum to one."""
 

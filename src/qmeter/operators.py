@@ -54,10 +54,6 @@ def require_same_dim(*matrices: np.ndarray) -> int:
     return dims.pop()
 
 
-def adjoint(matrix: np.ndarray) -> np.ndarray:
-    return matrix.conj().T
-
-
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max-norm distance between a matrix and its adjoint."""
     return float(np.max(np.abs(matrix - matrix.conj().T)))

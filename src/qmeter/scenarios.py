@@ -47,6 +47,15 @@ from .operators import (
 
 TRIAL_BLOCK = 4096
 
+# Every scenario name with the config fields it cannot run without.
+SCENARIOS = {
+    "photon": (),
+    "qnd": ("pointer_sigma", "outcome_grid"),
+    "classical_teleport": (),
+    "eavesdrop": ("kraus", "observable_a", "observable_b"),
+    "cloning": ("observable_a", "states"),
+}
+
 
 def photon_detector_preset(space: BosonicSpace) -> KrausSet:
     """Absorbing single-photon detection: the lone operator |0><1|.
@@ -186,8 +195,15 @@ class ScenarioConfig:
     forwarding: str = "resend"
 
     def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+        missing = [f for f in SCENARIOS[self.scenario] if getattr(self, f) in (None, ())]
+        if missing:
+            raise ValueError(f"{self.scenario} scenario needs {', '.join(missing)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.pointer_sigma is not None and not self.pointer_sigma > 0.0:
+            raise ValueError("pointer_sigma must be positive")
         if self.forwarding not in ("resend", "reprepare"):
             raise ValueError(f"unknown forwarding strategy {self.forwarding!r}")
         for obs in (self.observable_a, self.observable_b):
@@ -433,8 +449,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         body = _characterize_with_defaults(kraus, config, space)
         passed = all(o.status == "ok" for o in body.outcomes)
     elif config.scenario == "qnd":
-        if config.pointer_sigma is None or not config.outcome_grid:
-            raise ValueError("qnd scenario needs pointer_sigma and outcome_grid")
         space = BosonicSpace(config.dim)
         kraus = qnd_preset(space, config.pointer_sigma, config.outcome_grid)
         body = _characterize_with_defaults(kraus, config, space)
@@ -445,13 +459,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     elif config.scenario == "eavesdrop":
         body = eavesdrop_simulation(config)
         passed = body.passed
-    elif config.scenario == "cloning":
-        if config.observable_a is None:
-            raise ValueError("cloning scenario needs an observable")
+    else:  # cloning; ScenarioConfig rejects unknown names and missing fields
         body = cloning_error(config.states, config.observable_a)
         passed = True
-    else:
-        raise ValueError(f"unknown scenario {config.scenario!r}")
     return ScenarioReport(scenario=config.scenario, dim=config.dim,
                           trials=config.trials, seed=config.seed,
                           body=body, passed=passed)

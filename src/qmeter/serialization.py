@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 from typing import Any, Mapping
@@ -33,6 +34,19 @@ def matrix_to_literal(matrix) -> dict:
     }
 
 
+def complex_vector_from_pairs(pairs: list, where: str) -> np.ndarray:
+    """[[re, im], ...] with finite numeric parts as a complex128 vector."""
+    out = np.empty(len(pairs), dtype=np.complex128)
+    for i, pair in enumerate(pairs):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(v, (int, float)) for v in pair)):
+            raise SchemaError(f"{where}[{i}]: expected [re, im]")
+        if not all(math.isfinite(v) for v in pair):
+            raise SchemaError(f"{where}[{i}]: entries must be finite, got {pair}")
+        out[i] = complex(pair[0], pair[1])
+    return out
+
+
 def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -47,13 +61,7 @@ def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
         raise SchemaError(
             f"{where}.data: expected {rows * cols} [re, im] pairs, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
-            raise SchemaError(f"{where}.data[{i}]: expected [re, im]")
-        flat[i] = complex(pair[0], pair[1])
-    out = flat.reshape(rows, cols)
+    out = complex_vector_from_pairs(data, f"{where}.data").reshape(rows, cols)
     out.setflags(write=False)
     return out
 
@@ -151,18 +159,21 @@ def to_jsonable(value) -> Any:
                 for f in dataclasses.fields(value)}
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
-            return matrix_to_literal(value)
+            literal = matrix_to_literal(value)
+            if not np.isfinite(value).all():
+                literal["data"] = to_jsonable(literal["data"])
+            return literal
         return [to_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+        value = value.item()
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": to_jsonable(value.real), "im": to_jsonable(value.imag)}
     if isinstance(value, Mapping):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if isinstance(value, float) and value in (float("inf"), float("-inf")):
-        return repr(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "nan", "inf", "-inf": JSON has no literal for them
     return value
 
 

@@ -15,19 +15,18 @@ and five structural identities are driven to their maximum observed error
 per-sequence disturbance split, and the resolution averaging gap).
 
 Cases are generated from a counter-based stream (Philox keyed by the seed,
-one substream per case), so the suite is reproducible and can be evaluated
-in parallel; set QMETER_THREADS to cap the worker count.
+one substream per case), so the suite is reproducible and each case can be
+drawn independently of the others. The per-sequence statistics and both
+disturbance forms come from ``backaction``; this module only aggregates them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backaction import joint_retrodictions
+from .backaction import disturbance_forms, sequence_statistics
 from .measurement import KrausSet, retrodictive_operator
 from .operators import HermitianObservable, commutator, eigendecompose
 
@@ -55,15 +54,6 @@ SLACK_TOL = 1e-10
 IDENTITY_TOL = 1e-10
 
 
-def worker_count() -> int:
-    """Parallelism cap from QMETER_THREADS (default 1: strictly serial)."""
-    raw = os.environ.get("QMETER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
@@ -72,11 +62,6 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_kraus_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
         / np.sqrt(2.0 * dim)
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,7 +185,6 @@ def _evaluate_case(case: _Case, bound_scale: float) -> tuple[dict, dict]:
     var_b = retro.variance(obs_b)
     trace_bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2 * bound_scale
 
-    joints = joint_retrodictions(m, obs_b)
     min_seq_pair = np.inf
     min_seq_dist = np.inf
     avg_var_a = 0.0
@@ -209,38 +193,22 @@ def _evaluate_case(case: _Case, bound_scale: float) -> tuple[dict, dict]:
     spread = 0.0
     recon = np.zeros_like(retro.matrix)
     max_split_error = 0.0
-    for j in joints:
-        a_mean = float(np.vdot(j.state, obs_a.matrix @ j.state).real)
-        a_shift = obs_a.matrix @ j.state - a_mean * j.state
-        var_a_mf = float(np.vdot(a_shift, a_shift).real)
-        b_mean = float(np.vdot(j.state, obs_b.matrix @ j.state).real)
-        b_shift = obs_b.matrix @ j.state - b_mean * j.state
-        var_b_mf = float(np.vdot(b_shift, b_shift).real)
-        d_shift = obs_b.matrix @ j.state - j.final_value * j.state
-        dist_mf = float(np.vdot(d_shift, d_shift).real)
-        seq_bound = 0.25 * abs(np.vdot(j.state, comm @ j.state)) ** 2 * bound_scale
-        min_seq_pair = min(min_seq_pair, var_a_mf * var_b_mf - seq_bound)
-        min_seq_dist = min(min_seq_dist, var_a_mf * dist_mf - seq_bound)
-        avg_var_a += j.weight * var_a_mf
-        avg_dist += j.weight * dist_mf
-        avg_abs_comm += j.weight * abs(np.vdot(j.state, comm @ j.state))
-        spread += j.weight * (a_mean - est_a) ** 2
+    for s in sequence_statistics(m, obs_a, obs_b, comm):
+        j = s.joint
+        seq_bound = 0.25 * s.abs_commutator ** 2 * bound_scale
+        min_seq_pair = min(min_seq_pair, s.var_a * s.var_b - seq_bound)
+        min_seq_dist = min(min_seq_dist, s.var_a * s.disturbance - seq_bound)
+        avg_var_a += j.weight * s.var_a
+        avg_dist += j.weight * s.disturbance
+        avg_abs_comm += j.weight * s.abs_commutator
+        spread += j.weight * (s.mean_a - est_a) ** 2
         recon = recon + j.weight * np.outer(j.state, j.state.conj())
         max_split_error = max(
             max_split_error,
-            abs(dist_mf - (var_b_mf + (j.final_value - b_mean) ** 2)))
+            abs(s.disturbance - (s.var_b + (j.final_value - s.mean_b) ** 2)))
 
     averaged_bound = 0.25 * avg_abs_comm ** 2 * bound_scale
-
-    vals = obs_b.eigenvalues
-    sandwich = obs_b.eigenvectors.conj().T @ m @ obs_b.eigenvectors
-    eigensum = float(np.sum(np.abs(sandwich) ** 2
-                            * (vals[:, None] - vals[None, :]) ** 2)) / retro.total_weight
-    b2 = obs_b.matrix @ obs_b.matrix
-    adj = m.conj().T
-    trace_form = float((np.trace(adj @ b2 @ m) + np.trace(b2 @ adj @ m)
-                        - 2.0 * np.trace(adj @ obs_b.matrix @ m @ obs_b.matrix)).real) \
-        / retro.total_weight
+    eigensum, trace_form = disturbance_forms(m, obs_b, retro.total_weight)
 
     slacks = {
         "resolution_pair": var_a * var_b - trace_bound,
@@ -270,9 +238,7 @@ def _case_for(dim: int, index: int, seed: int) -> _Case:
 
 def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
                            seed: int = DEFAULT_SEED, slack_tol: float = SLACK_TOL,
-                           identity_tol: float = IDENTITY_TOL,
-                           bound_scale: float = 1.0,
-                           include_anchors: bool = True) -> VerificationReport:
+                           bound_scale: float = 1.0) -> VerificationReport:
     """Run the full randomized suite and aggregate worst slacks and errors.
 
     ``bound_scale`` multiplies every uncertainty bound and exists as a
@@ -283,21 +249,15 @@ def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
     relations = {name: RelationResult(name=name) for name in RELATION_NAMES}
     identities = {name: IdentityResult(name=name) for name in IDENTITY_NAMES}
 
-    cases: list[_Case] = list(_anchor_cases()) if include_anchors else []
+    cases = _anchor_cases()
     index = 0
     for dim in dims:
         for _ in range(samples):
             cases.append(_case_for(dim, index, seed))
             index += 1
 
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evaluated = list(pool.map(lambda c: _evaluate_case(c, bound_scale), cases))
-    else:
-        evaluated = [_evaluate_case(c, bound_scale) for c in cases]
-
-    for case, (slacks, errors) in zip(cases, evaluated):
+    for case in cases:
+        slacks, errors = _evaluate_case(case, bound_scale)
         for name, slack in slacks.items():
             relations[name].update(slack, slack_tol, case)
         for name, error in errors.items():
@@ -305,7 +265,7 @@ def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
 
     return VerificationReport(
         dims=dims, samples_per_dim=samples, seed=seed,
-        slack_tol=slack_tol, identity_tol=identity_tol, bound_scale=bound_scale,
+        slack_tol=slack_tol, identity_tol=IDENTITY_TOL, bound_scale=bound_scale,
         relations=tuple(relations[n] for n in RELATION_NAMES),
         identities=tuple(identities[n] for n in IDENTITY_NAMES),
     )

@@ -1,20 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qmeter import (
-    UnreachableSequence,
+    DimensionMismatch,
     averaged_disturbance,
-    conditional_disturbance,
-    decomposition_check,
+    commutator,
+    disturbance_forms,
     eigendecompose,
-    joint_estimates,
     joint_retrodictions,
-    joint_retrodictive_state,
     named_observable,
     resolution_disturbance_check,
-    sequence_uncertainty_check,
+    retrodictive_operator,
+    sequence_statistics,
 )
 from qmeter.verify import random_hermitian, random_kraus_operator
 
@@ -27,6 +27,7 @@ SZ = named_observable("sz")
 SX = named_observable("sx")
 N2 = eigendecompose(np.diag([0.0, 1.0]), name="n")
 N3 = eigendecompose(np.diag([0.0, 1.0, 2.0]), name="n")
+SLACK_TOL = 1e-10
 
 
 def proj(vec):
@@ -37,23 +38,44 @@ def eigen_index_for(obs, value):
     return int(np.argmin(np.abs(obs.eigenvalues - value)))
 
 
+def stats(m, obs_a, obs_b):
+    return sequence_statistics(m, obs_a, obs_b, commutator(obs_a.matrix, obs_b.matrix))
+
+
+def stat_for(m, obs_a, obs_b, value):
+    """Statistics of the sequence ending in the final value of obs_b."""
+    f = eigen_index_for(obs_b, value)
+    [s] = [s for s in stats(m, obs_a, obs_b) if s.joint.eigen_index == f]
+    return s
+
+
+def sequence_bound(s):
+    return 0.25 * s.abs_commutator ** 2
+
+
+def sequence_satisfied(s):
+    bound = sequence_bound(s)
+    return (s.var_a * s.var_b - bound >= -SLACK_TOL
+            and s.var_a * s.disturbance - bound >= -SLACK_TOL)
+
+
 class TestJointRetrodiction:
     def test_absorber_final_zero(self):
-        f = eigen_index_for(N2, 0.0)
-        joint = joint_retrodictive_state(ABSORB, N2, f)
+        [joint] = joint_retrodictions(ABSORB, N2)
+        assert joint.eigen_index == eigen_index_for(N2, 0.0)
         assert joint.final_value == 0.0
         assert np.allclose(np.abs(joint.state), [0, 1], atol=1e-15)
         assert joint.weight == pytest.approx(1.0, abs=1e-15)
 
     def test_absorber_final_one_unreachable(self):
         f = eigen_index_for(N2, 1.0)
-        with pytest.raises(UnreachableSequence):
-            joint_retrodictive_state(ABSORB, N2, f)
+        assert f not in [j.eigen_index for j in joint_retrodictions(ABSORB, N2)]
 
     def test_identity_measurement(self):
-        for f in range(2):
-            joint = joint_retrodictive_state(np.eye(2), SZ, f)
-            expected = SZ.eigenvectors[:, f]
+        joints = joint_retrodictions(np.eye(2), SZ)
+        assert [j.eigen_index for j in joints] == [0, 1]
+        for joint in joints:
+            expected = SZ.eigenvectors[:, joint.eigen_index]
             overlap = abs(np.vdot(expected, joint.state))
             assert overlap == pytest.approx(1.0, abs=1e-12)
             assert joint.weight == pytest.approx(0.5, abs=1e-12)
@@ -72,45 +94,49 @@ class TestJointRetrodiction:
 
 class TestJointEstimates:
     def test_absorber_estimates_input_photon(self):
-        joint = joint_retrodictive_state(ABSORB, N2, eigen_index_for(N2, 0.0))
-        est = joint_estimates(joint, N2, N2)
-        assert est.estimate_a == pytest.approx(1.0, abs=1e-15)
-        assert est.var_a == 0.0
+        s = stat_for(ABSORB, N2, N2, 0.0)
+        assert s.mean_a == pytest.approx(1.0, abs=1e-15)
+        assert s.var_a == 0.0
 
     def test_identity_eigenstate_retrodiction(self):
-        for f in range(2):
-            joint = joint_retrodictive_state(np.eye(2), SX, f)
-            est = joint_estimates(joint, SZ, SX)
-            assert est.estimate_b == pytest.approx(joint.final_value, abs=1e-12)
-            assert est.var_b == pytest.approx(0.0, abs=1e-12)
+        seqs = stats(np.eye(2), SZ, SX)
+        assert len(seqs) == 2
+        for s in seqs:
+            assert s.mean_b == pytest.approx(s.joint.final_value, abs=1e-12)
+            assert s.var_b == pytest.approx(0.0, abs=1e-12)
 
     def test_yplus_projection(self):
-        m = np.outer(KET0, YPLUS.conj())
-        for f in range(2):
-            joint = joint_retrodictive_state(m, SX, f)
-            est = joint_estimates(joint, SZ, SX)
-            assert est.estimate_a == pytest.approx(0.0, abs=1e-12)
-            assert est.var_a == pytest.approx(1.0, abs=1e-12)
+        seqs = stats(np.outer(KET0, YPLUS.conj()), SZ, SX)
+        assert len(seqs) == 2
+        for s in seqs:
+            assert s.mean_a == pytest.approx(0.0, abs=1e-12)
+            assert s.var_a == pytest.approx(1.0, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sequence_statistics(ABSORB, N3, N2, np.zeros((2, 2)))
 
 
 class TestConditionalDisturbance:
     def test_absorber_pure_systematic_shift(self):
-        record = conditional_disturbance(ABSORB, N2, eigen_index_for(N2, 0.0))
-        assert record.total == pytest.approx(1.0, abs=1e-15)
-        assert record.random == pytest.approx(0.0, abs=1e-15)
-        assert record.systematic == pytest.approx(1.0, abs=1e-15)
-        assert record.estimate == pytest.approx(1.0, abs=1e-15)
+        s = stat_for(ABSORB, N2, N2, 0.0)
+        assert s.disturbance == pytest.approx(1.0, abs=1e-15)
+        assert s.var_b == pytest.approx(0.0, abs=1e-15)
+        assert (s.joint.final_value - s.mean_b) ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert s.mean_b == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_no_back_action(self):
-        for f in range(2):
-            record = conditional_disturbance(np.eye(2), SZ, f)
-            assert record.total == pytest.approx(0.0, abs=1e-12)
+        seqs = stats(np.eye(2), SZ, SZ)
+        assert len(seqs) == 2
+        for s in seqs:
+            assert s.disturbance == pytest.approx(0.0, abs=1e-12)
 
     def test_qnd_diagonal_zero(self):
         diag = np.diag([0.9, 0.5, 0.1]).astype(complex)
-        for f in range(3):
-            record = conditional_disturbance(diag, N3, f)
-            assert record.total == pytest.approx(0.0, abs=1e-12)
+        seqs = stats(diag, N3, N3)
+        assert len(seqs) == 3
+        for s in seqs:
+            assert s.disturbance == pytest.approx(0.0, abs=1e-12)
 
     def test_split_identity_random(self):
         rng = np.random.Generator(np.random.Philox(key=19))
@@ -118,10 +144,9 @@ class TestConditionalDisturbance:
             dim = int(rng.integers(2, 6))
             m = random_kraus_operator(dim, rng)
             obs = eigendecompose(random_hermitian(dim, rng))
-            for j in joint_retrodictions(m, obs):
-                record = conditional_disturbance(m, obs, j.eigen_index)
-                assert record.total == pytest.approx(
-                    record.random + record.systematic, abs=1e-10)
+            for s in stats(m, obs, obs):
+                systematic = (s.joint.final_value - s.mean_b) ** 2
+                assert s.disturbance == pytest.approx(s.var_b + systematic, abs=1e-10)
 
 
 class TestAveragedDisturbance:
@@ -142,6 +167,9 @@ class TestAveragedDisturbance:
         assert oracle == pytest.approx(2.0, abs=1e-12)
         report = averaged_disturbance(m, SX)
         assert report.value == pytest.approx(2.0, abs=1e-12)
+        eigensum, trace_form = disturbance_forms(m, SX, 1.0)
+        assert eigensum == pytest.approx(2.0, abs=1e-12)
+        assert trace_form == pytest.approx(2.0, abs=1e-12)
 
     def test_commuting_operator_zero(self):
         diag = np.diag([0.3, 0.8, 0.2]).astype(complex)
@@ -168,19 +196,35 @@ class TestAveragedDisturbance:
         assert sum(r.weight for r in report.records) == pytest.approx(1.0, abs=1e-10)
 
 
+def decomposition(m, obs_a, obs_b):
+    """R_m rebuilt as sum_f w_f |r_mf><r_mf|, and the resolution averaging gap."""
+    retro = retrodictive_operator(m)
+    seqs = stats(m, obs_a, obs_b)
+    recon = sum(s.joint.weight * proj(s.joint.state) for s in seqs)
+    estimate = retro.expectation(obs_a)
+    resolution = retro.variance(obs_a)
+    averaged = sum(s.joint.weight * s.var_a for s in seqs)
+    spread = sum(s.joint.weight * (s.mean_a - estimate) ** 2 for s in seqs)
+    gap = resolution - averaged
+    return SimpleNamespace(
+        reconstruction_error=float(np.max(np.abs(recon - retro.matrix))),
+        resolution=resolution, averaged_resolution=averaged, gap=gap,
+        estimate_spread=spread, gap_error=abs(gap - spread))
+
+
 class TestDecomposition:
     def test_absorber_single_branch(self):
-        report = decomposition_check(ABSORB, N2, N2)
+        report = decomposition(ABSORB, N2, N2)
         assert report.reconstruction_error < 1e-14
         assert report.gap == pytest.approx(report.estimate_spread, abs=1e-12)
 
     def test_identity_completeness(self):
-        report = decomposition_check(np.eye(3), N3, N3)
+        report = decomposition(np.eye(3), N3, N3)
         assert report.reconstruction_error < 1e-12
 
     def test_yplus_gap(self):
         m = np.outer(KET0, YPLUS.conj())
-        report = decomposition_check(m, SZ, SX)
+        report = decomposition(m, SZ, SX)
         assert report.gap >= -1e-12
         assert report.gap == pytest.approx(report.estimate_spread, abs=1e-10)
         # both sequence states equal |y+>, so the averages match the totals
@@ -191,7 +235,7 @@ class TestDecomposition:
         rng = np.random.Generator(np.random.Philox(key=59))
         for _ in range(40):
             dim = int(rng.integers(2, 6))
-            report = decomposition_check(
+            report = decomposition(
                 random_kraus_operator(dim, rng),
                 eigendecompose(random_hermitian(dim, rng)),
                 eigendecompose(random_hermitian(dim, rng)))
@@ -202,28 +246,29 @@ class TestDecomposition:
 
 class TestSequenceUncertainty:
     def test_commuting_observables(self):
-        check = sequence_uncertainty_check(ABSORB, N2, N2, eigen_index_for(N2, 0.0))
-        assert check.bound == 0.0
-        assert check.satisfied
+        s = stat_for(ABSORB, N2, N2, 0.0)
+        assert sequence_bound(s) == 0.0
+        assert sequence_satisfied(s)
 
     def test_yplus_each_final(self):
-        m = np.outer(KET0, YPLUS.conj())
-        for f in range(2):
-            check = sequence_uncertainty_check(m, SZ, SX, f)
+        seqs = stats(np.outer(KET0, YPLUS.conj()), SZ, SX)
+        assert len(seqs) == 2
+        for s in seqs:
             # bound: |<y+|2i sy|y+>|^2 / 4 = 1 in the retrodicted state |y+>
-            assert check.bound == pytest.approx(1.0, abs=1e-12)
-            assert check.satisfied
+            assert sequence_bound(s) == pytest.approx(1.0, abs=1e-12)
+            assert sequence_satisfied(s)
 
     def test_identity_diagonal_commutator_vanishes(self):
         rng = np.random.Generator(np.random.Philox(key=61))
         obs_a = eigendecompose(random_hermitian(3, rng))
         obs_b = eigendecompose(random_hermitian(3, rng))
-        for f in range(3):
-            check = sequence_uncertainty_check(np.eye(3), obs_a, obs_b, f)
-            assert check.bound == pytest.approx(0.0, abs=1e-12)
-            assert check.var_b == pytest.approx(0.0, abs=1e-12)
-            assert check.disturbance == pytest.approx(0.0, abs=1e-12)
-            assert check.satisfied
+        seqs = stats(np.eye(3), obs_a, obs_b)
+        assert len(seqs) == 3
+        for s in seqs:
+            assert sequence_bound(s) == pytest.approx(0.0, abs=1e-12)
+            assert s.var_b == pytest.approx(0.0, abs=1e-12)
+            assert s.disturbance == pytest.approx(0.0, abs=1e-12)
+            assert sequence_satisfied(s)
 
 
 class TestResolutionDisturbance:

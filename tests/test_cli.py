@@ -139,6 +139,62 @@ class TestCharacterize:
         assert text.startswith("# outcome\t")
 
 
+def partial_nan_kraus_file(tmp_path):
+    literal = matrix_to_literal(np.diag([1.0, 0.5]).astype(complex))
+    literal["data"][3][0] = float("nan")
+    return write_json(tmp_path / "nan.json",
+                      {"dim": 2, "complete": False,
+                       "outcomes": [{"label": "0", "matrix": literal}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "abc"],
+    ["verify", "--dims", "0..2"],
+    ["verify", "--samples", "-3"],
+    ["characterize", "--preset", "photon", "--dim", "1"],
+    ["characterize", "--preset", "qnd", "--sigma", "-1", "--grid=0..4"],
+    ["scenario", {"scenario": "bogus", "dim": 2}],
+    ["scenario", {"scenario": "qnd", "dim": 4, "pointer_sigma": 0,
+                  "outcome_grid": [0, 1, 2]}],
+    ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"}}],
+    ["validate", partial_nan_kraus_file],
+    ["characterize", partial_nan_kraus_file, "--names", "sz"],
+    ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"},
+                  "states": [[[float("nan"), 0.0], [0.0, 0.0]]]}],
+], ids=["verify-dims", "verify-dim-zero", "verify-samples", "photon-dim", "qnd-sigma", "scenario-name",
+        "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan"])
+def test_bad_input_is_input_error(argv, tmp_path, capsys):
+    argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
+            else a(tmp_path) if callable(a) else a for a in argv]
+    assert main(argv) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "k.json", "--seed", "1"],
+    ["validate", "k.json", "--format", "csv"],
+    ["validate", "k.json", "--out", "o"],
+    ["characterize", "k.json", "--seed", "1"],
+    ["verify", "--format", "csv"],
+    ["scenario", "c.json", "--tol", "1e-3"],
+])
+def test_flags_without_effect_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_manifest_records_only_applied_tolerances(tmp_path):
+    teleport, scenario = tmp_path / "tp", tmp_path / "sc"
+    assert main(["characterize", "--preset", "classical-teleport", "--dim", "20",
+                 "--out", str(teleport)]) == 0
+    config = write_json(tmp_path / "cfg.json", {"scenario": "photon", "dim": 3})
+    assert main(["scenario", config, "--out", str(scenario)]) == 0
+    for path in (teleport / "report.json", scenario / "scenario.json"):
+        assert json.loads(path.read_bytes())["manifest"]["tolerances"] == {}
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--dims", "2..3", "--samples", "20",

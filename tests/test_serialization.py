@@ -38,6 +38,13 @@ class TestMatrixLiteral:
             matrix_from_literal({"rows": 2, "cols": 2, "data": [[1, 0]]})
         with pytest.raises(SchemaError):
             matrix_from_literal({"rows": 2, "cols": 1, "data": [[1, 0], ["x", 0]]})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        # Python's json module parses NaN and Infinity, so the loader must check
+        parsed = json.loads(json.dumps({"rows": 1, "cols": 2, "data": [[1, 0], [0, bad]]}))
+        with pytest.raises(SchemaError, match="finite"):
+            matrix_from_literal(parsed)
         with pytest.raises(SchemaError):
             matrix_from_literal({"rows": 0, "cols": 2, "data": []})
 
@@ -134,3 +141,14 @@ class TestReportSerialization:
         assert "report" in payload
         keys = list(payload["report"].keys())
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       np.float64("nan"), complex(float("nan"), 1.0),
+                                       np.array([[1.0, np.inf]])])
+    def test_non_finite_values_are_strict_json(self, value):
+        text = report_json_bytes({"x": value}).decode("utf-8")
+
+        def reject(token):
+            raise AssertionError(f"bare {token} in {text!r}")
+
+        json.loads(text, parse_constant=reject)

@@ -6,7 +6,6 @@ from qmeter.verify import (
     IDENTITY_NAMES,
     RELATION_NAMES,
     random_complete_kraus_set,
-    worker_count,
 )
 
 
@@ -40,20 +39,6 @@ class TestSuite:
         assert offender is not None
         assert offender["min_slack"] < 0
         assert "operator" in offender
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("QMETER_THREADS", "1")
-        serial = run_verification_suite(dims=(2, 3), samples=40, seed=8)
-        monkeypatch.setenv("QMETER_THREADS", "4")
-        assert worker_count() == 4
-        threaded = run_verification_suite(dims=(2, 3), samples=40, seed=8)
-        assert result_fingerprint(serial) == result_fingerprint(threaded)
-
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("QMETER_THREADS", "nope")
-        assert worker_count() == 1
-        monkeypatch.delenv("QMETER_THREADS")
-        assert worker_count() == 1
 
 
 def test_random_complete_sets_are_complete():
