@@ -12,6 +12,7 @@ which obeys the same commutator-type uncertainty bound as the resolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import InternalConsistencyError, UnreachableOutcome
 from .measurement import (
     SLACK_TOL,
     UNREACHABLE_TRACE_FLOOR,
+    _commutator_bound,
     clamp_variance,
     norm_trace,
     retrodictive_operator,
@@ -59,6 +61,14 @@ def _prepare(operator, observable: HermitianObservable) -> tuple[np.ndarray, flo
     return op, weight
 
 
+# joint_retrodictions, _mean_and_var, sequence_statistics and disturbance_forms
+# walk one final result at a time. They stay apart from the whole-matrix kernel
+# (_final_statistics) because verify reads them, and its reports keep the
+# argmax of identity errors that are pure rounding noise: computed column-wise,
+# M'V does not equal M'v_f bit for bit, and those argmaxes move. Merging the
+# two paths waits until the reference verify reports are recaptured.
+
+
 def joint_retrodictions(operator, observable: HermitianObservable) -> list[JointRetrodiction]:
     """All reachable joint retrodictions, ascending in eigen-index.
 
@@ -87,11 +97,6 @@ def _mean_and_var(state: np.ndarray, matrix: np.ndarray) -> tuple[float, float]:
     mean = float(np.vdot(state, matrix @ state).real)
     shifted = matrix @ state - mean * state
     return mean, float(np.vdot(shifted, shifted).real)
-
-
-def _abs_expectation(state: np.ndarray, matrix: np.ndarray) -> float:
-    """|<state|matrix|state>|; for [A, B] the per-sequence commutator bound."""
-    return abs(np.vdot(state, matrix @ state))
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def sequence_statistics(operator, observable_a: HermitianObservable,
         out.append(SequenceStatistics(
             joint=j, mean_a=mean_a, var_a=var_a, mean_b=mean_b, var_b=var_b,
             disturbance=float(np.vdot(shifted, shifted).real),
-            abs_commutator=_abs_expectation(j.state, comm)))
+            abs_commutator=abs(np.vdot(j.state, comm @ j.state))))
     return out
 
 
@@ -184,9 +189,23 @@ def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
     return eigensum, trace_form
 
 
-def averaged_disturbance(operator, observable: HermitianObservable) -> DisturbanceReport:
-    """Average squared change of the observable over all inputs and final results."""
-    op, total = _prepare(operator, observable)
+class _FinalStatistics(NamedTuple):
+    """One outcome's averaged disturbance of B and the joint retrodictions it
+    averages: ``states[:, k]`` is r_mf for the k-th reachable final result and
+    ``weights[k]`` its w_m(B_f)."""
+
+    report: DisturbanceReport
+    states: np.ndarray
+    weights: np.ndarray
+
+
+def _final_statistics(op: np.ndarray, total: float,
+                      observable: HermitianObservable) -> _FinalStatistics:
+    """Averaged disturbance with every final result handled at once.
+
+    ``op`` is M and ``total`` is tr{M'M}; the caller has checked dimensions
+    and reachability.
+    """
     eigensum, trace_form = disturbance_forms(op, observable, total)
     trace_form = max(0.0, trace_form)
     # absolute below unit scale, relative above (double precision cannot hold
@@ -196,29 +215,48 @@ def averaged_disturbance(operator, observable: HermitianObservable) -> Disturban
             f"disturbance eigenbasis sum {eigensum:.12e} and trace form "
             f"{trace_form:.12e} disagree")
 
-    joints = joint_retrodictions(operator, observable)
-    by_index = {j.eigen_index: j for j in joints}
+    u = op.conj().T @ observable.eigenvectors           # column f: M'|B_f>
+    q = np.einsum("ij,ij->j", u.conj(), u).real
+    weights = q / total
+    kept = weights >= WEIGHT_FLOOR
+    weights = weights[kept]
+    states = u[:, kept] / np.sqrt(q[kept])
+    b_states = observable.matrix @ states
+    means = np.einsum("ij,ij->j", states.conj(), b_states).real
+    shifted = b_states - states * means
+    variances = np.einsum("ij,ij->j", shifted.conj(), shifted).real
+
+    # Moments of B within each (near-)degenerate final value. The random part
+    # is the weighted variance of the mixture, summed from non-negative terms:
+    # mu2 - mu1^2 cancels against mu1^2 and goes negative on large spectra.
+    values, group_of = observable.group_table
+    group = group_of[kept]
+    n = len(values)
+    group_w = np.bincount(group, weights=weights, minlength=n)
+    share = weights / group_w[group]
+    mu1 = np.bincount(group, weights=share * means, minlength=n)
+    spread = variances + (means - mu1[group]) ** 2
+    random = np.bincount(group, weights=share * spread, minlength=n)
     records = []
-    for value, indices in observable.eigenvalue_groups():
-        members = [by_index[i] for i in indices if i in by_index]
-        group_w = sum(j.weight for j in members)
-        if group_w <= 0.0:
+    for value, w, m1, r in zip(values.tolist(), group_w.tolist(),
+                               mu1.tolist(), random.tolist()):
+        if w <= 0.0:
             continue
-        mu1 = 0.0
-        mu2 = 0.0
-        for j in members:
-            mean, var = _mean_and_var(j.state, observable.matrix)
-            mu1 += j.weight / group_w * mean
-            mu2 += j.weight / group_w * (var + mean ** 2)
-        random_part = clamp_variance(mu2 - mu1 ** 2)
-        systematic = (value - mu1) ** 2
+        random_part = clamp_variance(r)
+        systematic = (value - m1) ** 2
         records.append(DisturbanceRecord(
-            final_value=value, weight=group_w,
-            total=random_part + systematic,
+            final_value=value, weight=w, total=random_part + systematic,
             random=random_part, systematic=systematic))
-    return DisturbanceReport(observable=observable.name or "B",
-                             value=eigensum, trace_form=trace_form,
-                             records=tuple(records))
+    report = DisturbanceReport(observable=observable.name or "B",
+                               value=eigensum, trace_form=trace_form,
+                               records=tuple(records))
+    return _FinalStatistics(report=report, states=states, weights=weights)
+
+
+def averaged_disturbance(operator, observable: HermitianObservable) -> DisturbanceReport:
+    """Average squared change of the observable over all inputs and final results."""
+    op, total = _prepare(operator, observable)
+    return _final_statistics(op, total, observable).report
 
 
 @dataclass(frozen=True)
@@ -250,24 +288,34 @@ def resolution_disturbance_check(operator, observable_a: HermitianObservable,
     retro = retrodictive_operator(operator)
     require_same_dim(retro.matrix, observable_a.matrix, observable_b.matrix)
     resolution = retro.variance(observable_a)
-    disturbance = averaged_disturbance(operator, observable_b)
+    finals = _final_statistics(*_prepare(operator, observable_b), observable_b)
     comm = commutator(observable_a.matrix, observable_b.matrix)
-    bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2
+    return _resolution_disturbance_check(
+        observable_a, observable_b, resolution, _commutator_bound(retro, comm),
+        finals, comm, slack_tol)
 
-    averaged_abs = 0.0
-    for j in joint_retrodictions(operator, observable_b):
-        averaged_abs += j.weight * _abs_expectation(j.state, comm)
-    averaged_bound = 0.25 * averaged_abs ** 2
 
-    product = resolution * disturbance.value
+def _resolution_disturbance_check(observable_a: HermitianObservable,
+                                  observable_b: HermitianObservable,
+                                  resolution: float, bound: float,
+                                  finals: _FinalStatistics, comm: np.ndarray,
+                                  slack_tol: float) -> ResolutionDisturbanceCheck:
+    """The check from A's resolution, the outcome's |tr{R [A, B]}|^2 / 4 and
+    B's final-result statistics; ``comm`` is [A, B]."""
+    states = finals.states
+    abs_comm = np.abs(np.einsum("ij,ij->j", states.conj(), comm @ states))
+    averaged_bound = 0.25 * float(finals.weights @ abs_comm) ** 2
+
+    disturbance = finals.report.value
+    product = resolution * disturbance
     slack = product - bound
     chain_slack = averaged_bound - bound
     return ResolutionDisturbanceCheck(
         observable_a=observable_a.name or "A",
         observable_b=observable_b.name or "B",
-        resolution=resolution, disturbance=disturbance.value,
-        product=product, bound=float(bound), slack=float(slack),
+        resolution=resolution, disturbance=disturbance,
+        product=product, bound=bound, slack=float(slack),
         satisfied=bool(slack >= -slack_tol),
-        averaged_bound=float(averaged_bound), chain_slack=float(chain_slack),
+        averaged_bound=averaged_bound, chain_slack=float(chain_slack),
         chain_ok=bool(chain_slack >= -slack_tol),
     )

@@ -15,20 +15,23 @@ from typing import Mapping, Sequence
 from .backaction import (
     DisturbanceReport,
     ResolutionDisturbanceCheck,
-    averaged_disturbance,
-    resolution_disturbance_check,
+    _final_statistics,
+    _resolution_disturbance_check,
 )
 from .errors import UnknownObservable, UnreachableOutcome
 from .measurement import (
     COMPLETENESS_TOL,
+    SLACK_TOL,
     CompletenessReport,
     KrausSet,
     PairCheck,
-    optimal_estimate,
-    resolution_pair_check,
+    _commutator_bound,
+    _estimate,
+    _pair_check,
+    retrodictive_operator,
     validate_completeness,
 )
-from .operators import HermitianObservable
+from .operators import HermitianObservable, commutator
 
 
 @dataclass(frozen=True)
@@ -84,24 +87,34 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
             if name not in observables:
                 raise UnknownObservable(f"pair references unknown observable {name!r}")
     completeness = validate_completeness(kraus, completeness_tol)
+    comms = {(a, b): commutator(observables[a].matrix, observables[b].matrix)
+             for a, b in pairs}
     outcomes = []
     for label, op in kraus.items():
         try:
-            rows = []
+            # One retrodictive operator per outcome and one pass over the
+            # final results per observable; both pair checks read them.
+            retro = retrodictive_operator(op)
+            estimates, finals, rows = {}, {}, []
             for name, obs in observables.items():
-                est = optimal_estimate(op, obs)
-                dist = averaged_disturbance(op, obs)
+                est = estimates[name] = _estimate(retro, obs)
+                finals[name] = _final_statistics(op, retro.total_weight, obs)
+                dist = finals[name].report
                 rows.append(ObservableRow(
                     observable=name, estimate=est.estimate, resolution=est.error,
                     disturbance=dist.value, disturbance_report=dist))
-            pair_rows = [
-                PairRow(
+            pair_rows = []
+            for a, b in pairs:
+                obs_a, obs_b, comm = observables[a], observables[b], comms[a, b]
+                bound = _commutator_bound(retro, comm)
+                var_a = estimates[a].error
+                pair_rows.append(PairRow(
                     observable_a=a, observable_b=b,
-                    resolution_check=resolution_pair_check(op, observables[a], observables[b]),
-                    disturbance_check=resolution_disturbance_check(op, observables[a], observables[b]),
-                )
-                for a, b in pairs
-            ]
+                    resolution_check=_pair_check(obs_a, obs_b, var_a, estimates[b].error,
+                                                 bound, SLACK_TOL),
+                    disturbance_check=_resolution_disturbance_check(
+                        obs_a, obs_b, var_a, bound, finals[b], comm, SLACK_TOL),
+                ))
             status = "ok"
         except UnreachableOutcome:
             rows, pair_rows, status = [], [], "unreachable"

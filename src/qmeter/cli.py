@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .characterize import characterize
-from .errors import QmeterError, SchemaError, UnknownObservable
+from .errors import DimensionMismatch, QmeterError, SchemaError, UnknownObservable
 from .measurement import COMPLETENESS_TOL, validate_completeness
 from .operators import BosonicSpace, named_observable
 from .scenarios import (
@@ -229,6 +229,8 @@ def cmd_characterize(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 0:
         raise SchemaError(f"--samples must be non-negative, got {args.samples}")
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be non-negative, got {args.seed}")
     report = run_verification_suite(
         dims=parse_dims(args.dims), samples=args.samples, seed=args.seed,
         slack_tol=args.tol, bound_scale=args.bound_scale)
@@ -250,6 +252,14 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
     print("PASS")
     return EXIT_OK
+
+
+def _config_integer(obj, key: str, default: int) -> int:
+    """A config field that must be a JSON integer (not a float, bool or string)."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"scenario config: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
@@ -291,8 +301,8 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
     try:
         return ScenarioConfig(
             scenario=str(scenario), dim=dim,
-            trials=int(obj.get("trials", 1)),
-            seed=int(seed_override if seed_override is not None else obj.get("seed", 0)),
+            trials=_config_integer(obj, "trials", 1),
+            seed=seed_override if seed_override is not None else _config_integer(obj, "seed", 0),
             observable_a=obs_a, observable_b=obs_b, kraus=kraus,
             pointer_sigma=obj.get("pointer_sigma"),
             outcome_grid=tuple(obj.get("outcome_grid", [])),
@@ -300,7 +310,7 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
             states=states,
             forwarding=str(obj.get("forwarding", "resend")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise SchemaError(f"scenario config: {exc}") from exc
 
 

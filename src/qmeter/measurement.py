@@ -253,7 +253,10 @@ def optimal_estimate(operator, observable: HermitianObservable) -> EstimateRepor
     The estimate is tr{A R}; its mean squared error over the uniform
     eigenstate ensemble is the variance of A under R.
     """
-    retro = retrodictive_operator(operator)
+    return _estimate(retrodictive_operator(operator), observable)
+
+
+def _estimate(retro: RetrodictiveOperator, observable: HermitianObservable) -> EstimateReport:
     require_same_dim(retro.matrix, observable.matrix)
     return EstimateReport(
         observable=observable.name or "A",
@@ -297,12 +300,22 @@ def resolution_pair_check(operator, observable_a: HermitianObservable,
     var_a = retro.variance(observable_a)
     var_b = retro.variance(observable_b)
     comm = commutator(observable_a.matrix, observable_b.matrix)
-    bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2
+    return _pair_check(observable_a, observable_b, var_a, var_b,
+                       _commutator_bound(retro, comm), slack_tol)
+
+
+def _commutator_bound(retro: RetrodictiveOperator, comm: np.ndarray) -> float:
+    """|tr{R [A, B]}|^2 / 4, the bound shared by both uncertainty relations."""
+    return float(0.25 * abs(np.trace(retro.matrix @ comm)) ** 2)
+
+
+def _pair_check(observable_a: HermitianObservable, observable_b: HermitianObservable,
+                var_a: float, var_b: float, bound: float, slack_tol: float) -> PairCheck:
     product = var_a * var_b
     slack = product - bound
     return PairCheck(
         observable_a=observable_a.name or "A",
         observable_b=observable_b.name or "B",
-        var_a=var_a, var_b=var_b, product=product, bound=float(bound),
+        var_a=var_a, var_b=var_b, product=product, bound=bound,
         slack=float(slack), satisfied=bool(slack >= -slack_tol),
     )

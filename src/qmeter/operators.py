@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +104,20 @@ class HermitianObservable:
                 groups.append((float(np.mean(vals[start:k])), idx))
                 start = k
         return groups
+
+    @cached_property
+    def group_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigenvalue_groups()`` as arrays, computed once per observable.
+
+        Returns ``(values, index)``: the ascending group means, and for each
+        eigen-index the position of its group in ``values``.
+        """
+        groups = self.eigenvalue_groups()
+        values = np.array([value for value, _ in groups])
+        index = np.concatenate([np.full(len(idx), g) for g, (_, idx) in enumerate(groups)])
+        values.setflags(write=False)
+        index.setflags(write=False)
+        return values, index
 
     def projector(self, indices) -> np.ndarray:
         """Orthogonal projector onto the span of the chosen eigenvectors."""

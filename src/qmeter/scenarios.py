@@ -202,6 +202,8 @@ class ScenarioConfig:
             raise ValueError(f"{self.scenario} scenario needs {', '.join(missing)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.pointer_sigma is not None and not self.pointer_sigma > 0.0:
             raise ValueError("pointer_sigma must be positive")
         if self.forwarding not in ("resend", "reprepare"):
@@ -213,6 +215,10 @@ class ScenarioConfig:
         if self.kraus is not None and self.kraus.dim != self.dim:
             raise DimensionMismatch(
                 f"Kraus set has dimension {self.kraus.dim}, scenario has {self.dim}")
+        for i, state in enumerate(self.states):
+            if np.size(state) != self.dim:
+                raise DimensionMismatch(
+                    f"state {i} has dimension {np.size(state)}, scenario has {self.dim}")
 
 
 @dataclass(frozen=True)

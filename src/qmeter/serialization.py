@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import SchemaError, UnknownObservable
+from .errors import DimensionMismatch, SchemaError, UnknownObservable
 from .measurement import KrausSet
 from .operators import HermitianObservable, as_complex_matrix, eigendecompose, named_observable
 
@@ -126,6 +126,8 @@ def observable_from_spec(spec, dim: int, name: str | None = None,
             return named_observable(spec, dim)
         except UnknownObservable:
             raise SchemaError(f"{where}: unknown observable name {spec!r}") from None
+        except DimensionMismatch as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     if isinstance(spec, Mapping):
         matrix = matrix_from_literal(spec, where)
         if matrix.shape != (dim, dim):

@@ -3,10 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeter import (
     DimensionMismatch,
+    KrausSet,
+    UnreachableOutcome,
     averaged_disturbance,
+    characterize,
     commutator,
     disturbance_forms,
     eigendecompose,
@@ -16,6 +21,8 @@ from qmeter import (
     retrodictive_operator,
     sequence_statistics,
 )
+from qmeter.backaction import WEIGHT_FLOOR
+from qmeter.operators import DEGENERACY_GAP
 from qmeter.verify import random_hermitian, random_kraus_operator
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -188,6 +195,21 @@ class TestAveragedDisturbance:
             for r in report.records:
                 assert r.total == pytest.approx(r.random + r.systematic, abs=1e-10)
 
+    def test_large_degenerate_eigenvalue_has_no_negative_random_part(self):
+        # Three final results share the eigenvalue 300 and each retrodicts
+        # its own eigenvector: the random part is exactly zero. Summed as
+        # mu2 - mu1^2 it cancelled to about -1e-11, below the clamp floor.
+        obs = eigendecompose(np.diag([300.0, 300.0, 300.0, 0.0, 1.0, 2.0]))
+        rng = np.random.Generator(np.random.Philox(key=3))
+        for _ in range(100):
+            m = np.diag(rng.random(6) + 0.05).astype(complex)
+            report = averaged_disturbance(m, obs)
+            assert report.value == 0.0
+            assert [r.final_value for r in report.records] == [0.0, 1.0, 2.0, 300.0]
+            for r in report.records:
+                assert r.random == pytest.approx(0.0, abs=1e-12)
+                assert r.systematic == pytest.approx(0.0, abs=1e-9)
+
     def test_degenerate_observable_grouping(self):
         rng = np.random.Generator(np.random.Philox(key=53))
         obs = eigendecompose(np.diag([1.0, 1.0, 2.0]))
@@ -322,3 +344,103 @@ def test_disturbance_cross_check_survives_large_spectra():
     for _ in range(10):
         report = averaged_disturbance(random_kraus_operator(60, rng), big)
         assert report.consistency_error <= 1e-10 * max(1.0, report.value)
+
+
+def random_unitary(dim, rng):
+    q, r = np.linalg.qr(random_kraus_operator(dim, rng))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def ramp_observable(dim, rng):
+    """Clusters of eigenvalues whose adjacent gaps are zero or below the
+    degeneracy threshold, so eigenvalue_groups chains each cluster into one
+    group; distinct clusters lie at least ``scale`` apart."""
+    scale = 10.0 ** rng.uniform(-1.0, 2.0)
+    centres = rng.permutation(np.arange(-dim, dim))
+    vals = []
+    for centre in centres:
+        step = rng.choice([0.0, 0.3]) * DEGENERACY_GAP
+        vals.extend(scale * centre + step * np.arange(int(rng.integers(1, 5))))
+        if len(vals) >= dim:
+            break
+    u = random_unitary(dim, rng)
+    return eigendecompose(u @ np.diag(vals[:dim]) @ u.conj().T, name="B")
+
+
+def scalar_reference(m, obs_a, obs_b):
+    """Disturbance records and chain bound rebuilt one final result at a time
+    from sequence_statistics: (records, averaged_bound), each record a tuple
+    (final_value, weight, random, systematic)."""
+    comm = commutator(obs_a.matrix, obs_b.matrix)
+    seqs = {s.joint.eigen_index: s for s in sequence_statistics(m, obs_a, obs_b, comm)}
+    records = []
+    for value, indices in obs_b.eigenvalue_groups():
+        members = [seqs[i] for i in indices if i in seqs]
+        if not members:
+            continue
+        group_w = sum(s.joint.weight for s in members)
+        mu1 = sum(s.joint.weight * s.mean_b for s in members) / group_w
+        random = sum(s.joint.weight * (s.var_b + (s.mean_b - mu1) ** 2)
+                     for s in members) / group_w
+        records.append((value, group_w, random, (value - mu1) ** 2))
+    averaged_abs = sum(s.joint.weight * s.abs_commutator for s in seqs.values())
+    return records, 0.25 * averaged_abs ** 2
+
+
+def assert_matches_scalar_path(m, obs_a, obs_b):
+    scale_a, scale_b = (max(1.0, float(np.max(np.abs(o.eigenvalues)))) for o in (obs_a, obs_b))
+    close = dict(rel=1e-9, abs=1e-9 * scale_b ** 2)
+    records, averaged_bound = scalar_reference(m, obs_a, obs_b)
+    report = averaged_disturbance(m, obs_b)
+    assert [r.final_value for r in report.records] == [r[0] for r in records]
+    for got, (_, weight, random, systematic) in zip(report.records, records):
+        assert got.weight == pytest.approx(weight, rel=1e-9, abs=1e-15)
+        assert got.random == pytest.approx(random, **close)
+        assert got.systematic == pytest.approx(systematic, **close)
+        assert got.total == got.random + got.systematic
+    check = resolution_disturbance_check(m, obs_a, obs_b)
+    assert check.averaged_bound == pytest.approx(
+        averaged_bound, rel=1e-9, abs=1e-9 * (scale_a * scale_b) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_final_result_kernel_matches_scalar_path(dim, seed, ramp):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    obs_a = eigendecompose(random_hermitian(dim, rng), name="A")
+    obs_b = ramp_observable(dim, rng) if ramp else \
+        eigendecompose(random_hermitian(dim, rng), name="B")
+    assert_matches_scalar_path(random_kraus_operator(dim, rng), obs_a, obs_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
+def test_final_results_at_the_weight_floor(dim, seed):
+    # M = V diag(c) W' sends final result f to weight c_f^2 / sum c^2; one
+    # final result sits at twice the floor and one at half of it.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    obs_a = eigendecompose(random_hermitian(dim, rng), name="A")
+    obs_b = eigendecompose(random_hermitian(dim, rng), name="B")
+    above, below = rng.choice(dim, size=2, replace=False)
+    c2 = rng.uniform(0.1, 1.0, size=dim)
+    rest = c2.sum() - c2[above] - c2[below]
+    c2[above], c2[below] = 2.0 * WEIGHT_FLOOR * rest, 0.5 * WEIGHT_FLOOR * rest
+    m = obs_b.eigenvectors @ np.diag(np.sqrt(c2)) @ random_unitary(dim, rng).conj().T
+    kept = [j.eigen_index for j in joint_retrodictions(m, obs_b)]
+    assert above in kept and below not in kept
+    values = [r.final_value for r in averaged_disturbance(m, obs_b).records]
+    assert obs_b.eigenvalues[above] in values
+    assert obs_b.eigenvalues[below] not in values
+    assert_matches_scalar_path(m, obs_a, obs_b)
+
+
+def test_unreachable_outcome():
+    silent = np.full((3, 3), 1e-9, dtype=complex)  # tr{M'M} = 9e-18
+    with pytest.raises(UnreachableOutcome):
+        averaged_disturbance(silent, N3)
+    with pytest.raises(UnreachableOutcome):
+        resolution_disturbance_check(silent, N3, N3)
+    kraus = KrausSet(operators=(np.eye(3), silent), labels=("on", "off"), complete=False)
+    report = characterize(kraus, {"n": N3}, [("n", "n")])
+    assert [o.status for o in report.outcomes] == ["ok", "unreachable"]
+    assert report.outcomes[1].rows == () and report.outcomes[1].pairs == ()

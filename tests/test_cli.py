@@ -151,6 +151,7 @@ def partial_nan_kraus_file(tmp_path):
     ["verify", "--dims", "abc"],
     ["verify", "--dims", "0..2"],
     ["verify", "--samples", "-3"],
+    ["verify", "--seed", "-1"],
     ["characterize", "--preset", "photon", "--dim", "1"],
     ["characterize", "--preset", "qnd", "--sigma", "-1", "--grid=0..4"],
     ["scenario", {"scenario": "bogus", "dim": 2}],
@@ -161,8 +162,18 @@ def partial_nan_kraus_file(tmp_path):
     ["characterize", partial_nan_kraus_file, "--names", "sz"],
     ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"},
                   "states": [[[float("nan"), 0.0], [0.0, 0.0]]]}],
-], ids=["verify-dims", "verify-dim-zero", "verify-samples", "photon-dim", "qnd-sigma", "scenario-name",
-        "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan"])
+    ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"},
+                  "states": [[[1.0, 0.0]]]}],
+    ["scenario", {"scenario": "photon", "dim": 3, "observables": {"A": "sz"}}],
+    *(["scenario", {"scenario": "photon", "dim": 3, field: value}]
+      for field in ("trials", "seed") for value in (1.5, 2.0, True, "3")),
+    ["scenario", {"scenario": "photon", "dim": 3, "seed": -1}],
+], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "photon-dim", "qnd-sigma", "scenario-name",
+        "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan",
+        "scenario-state-dim", "scenario-observable-dim",
+        *(f"scenario-{field}-{kind}" for field in ("trials", "seed")
+          for kind in ("fraction", "float", "bool", "string")),
+        "scenario-seed-negative"])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
     argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
             else a(tmp_path) if callable(a) else a for a in argv]
