@@ -40,6 +40,12 @@ WEIGHT_FLOOR = 1e-14
 # Absolute tolerance on redundant evaluations of the same quantity.
 IDENTITY_TOL = 1e-10
 
+# Rounding bound of the disturbance trace form, in units of eps * d * max|B|^2.
+# Its terms are of size max|B|^2 and cancel, so its rounding error does not
+# shrink with the result. Measured: at most 10.3 units over 19,200 random
+# cases (d 2-200, spectra up to 1e4, commuting and near-commuting M included).
+TRACE_FORM_ROUNDING = 16.0
+
 
 @dataclass(frozen=True)
 class JointRetrodiction:
@@ -199,6 +205,16 @@ class _FinalStatistics(NamedTuple):
     weights: np.ndarray
 
 
+def _forms_tolerance(eigensum: float, observable: HermitianObservable) -> float:
+    """Allowed gap between the two disturbance forms: IDENTITY_TOL, absolute
+    below unit scale and relative above (double precision cannot hold an
+    absolute 1e-10 on quantities of order 1e6), plus the trace form's rounding
+    bound."""
+    scale = float(np.max(np.abs(observable.eigenvalues))) ** 2
+    return (IDENTITY_TOL * max(1.0, eigensum)
+            + TRACE_FORM_ROUNDING * np.finfo(float).eps * observable.dim * scale)
+
+
 def _final_statistics(op: np.ndarray, total: float,
                       observable: HermitianObservable) -> _FinalStatistics:
     """Averaged disturbance with every final result handled at once.
@@ -208,9 +224,7 @@ def _final_statistics(op: np.ndarray, total: float,
     """
     eigensum, trace_form = disturbance_forms(op, observable, total)
     trace_form = max(0.0, trace_form)
-    # absolute below unit scale, relative above (double precision cannot hold
-    # an absolute 1e-10 on quantities of order 1e6)
-    if abs(eigensum - trace_form) > IDENTITY_TOL * max(1.0, eigensum):
+    if abs(eigensum - trace_form) > _forms_tolerance(eigensum, observable):
         raise InternalConsistencyError(
             f"disturbance eigenbasis sum {eigensum:.12e} and trace form "
             f"{trace_form:.12e} disagree")

@@ -28,6 +28,7 @@ from .errors import DimensionMismatch, QmeterError, SchemaError, UnknownObservab
 from .measurement import COMPLETENESS_TOL, validate_completeness
 from .operators import BosonicSpace, named_observable
 from .scenarios import (
+    SEED_LIMIT,
     ScenarioConfig,
     classical_teleportation_preset,
     photon_detector_preset,
@@ -229,8 +230,8 @@ def cmd_characterize(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 0:
         raise SchemaError(f"--samples must be non-negative, got {args.samples}")
-    if args.seed < 0:
-        raise SchemaError(f"--seed must be non-negative, got {args.seed}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise SchemaError(f"--seed must be in [0, 2**128), got {args.seed}")
     report = run_verification_suite(
         dims=parse_dims(args.dims), samples=args.samples, seed=args.seed,
         slack_tol=args.tol, bound_scale=args.bound_scale)

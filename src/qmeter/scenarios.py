@@ -10,7 +10,10 @@ integration test of the core.
 Randomness is counter-based (numpy Philox keyed by the seed). Trials are laid
 out in fixed blocks of 4096, each block drawing from its own substream at
 counter ``block_index << 64``, so reports are bit-identical for a given seed
-regardless of how blocks are scheduled.
+regardless of how blocks are scheduled. Each block gathers its sampling
+thresholds with ``np.take`` from column-major copies of the cumulative tables;
+the draws, the entries picked and the order of every sum are those of a
+row-wise gather, so counts and sums are unchanged to the last bit.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ from .operators import (
 )
 
 TRIAL_BLOCK = 4096
+
+# Seeds key numpy's Philox generator, whose keys are 128-bit unsigned integers.
+SEED_LIMIT = 1 << 128
 
 # Every scenario name with the config fields it cannot run without.
 SCENARIOS = {
@@ -202,8 +208,8 @@ class ScenarioConfig:
             raise ValueError(f"{self.scenario} scenario needs {', '.join(missing)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.pointer_sigma is not None and not self.pointer_sigma > 0.0:
             raise ValueError("pointer_sigma must be positive")
         if self.forwarding not in ("resend", "reprepare"):
@@ -284,6 +290,46 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _sample_blocks(eve_cum: np.ndarray, bob_cum: np.ndarray, values: np.ndarray,
+                   trials: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (basis, eavesdropper outcome) trial counts and sums of the squared
+    eigenvalue change and of its square, each of shape (2, n_out).
+
+    ``eve_cum[c, i]`` and ``bob_cum[c, i, m]`` are the cumulative tables of
+    eavesdrop_simulation and ``values[c]`` the eigenvalues of basis c. The
+    thresholds are gathered from column-major copies (one column per
+    conditioning row), which picks the same entries as indexing the tables by
+    row, so every count and sum is bit-identical to a row-wise gather.
+    """
+    _, d, n_out = eve_cum.shape
+    eve_t = eve_cum.reshape(2 * d, n_out).T.copy()
+    bob_t = bob_cum.reshape(2 * d * n_out, d).T.copy()
+    flat_values = values.reshape(-1)
+    cells = 2 * n_out
+    counts = np.zeros(cells, dtype=np.int64)
+    s1 = np.zeros(cells)
+    s2 = np.zeros(cells)
+    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
+        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+        basis = gen.integers(0, 2, size=size)
+        sent = gen.integers(0, d, size=size)
+        u_eve = gen.random(size=size)
+        u_bob = gen.random(size=size)
+
+        offset = basis * d
+        row = offset + sent
+        outcome = (np.take(eve_t, row, axis=1) < u_eve).sum(axis=0)
+        received = (np.take(bob_t, row * n_out + outcome, axis=1) < u_bob).sum(axis=0)
+        diff2 = (np.take(flat_values, offset + received) - np.take(flat_values, row)) ** 2
+
+        flat = basis * n_out + outcome
+        counts += np.bincount(flat, minlength=cells)
+        s1 += np.bincount(flat, weights=diff2, minlength=cells)
+        s2 += np.bincount(flat, weights=diff2 ** 2, minlength=cells)
+    return counts.reshape(2, n_out), s1.reshape(2, n_out), s2.reshape(2, n_out)
+
+
 def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     """Intercept-resend Monte Carlo for a two-basis transmission.
 
@@ -330,27 +376,8 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     bob_cum = _cumulative(bob_p)
     values = np.stack([obs.eigenvalues for obs in bases])
 
-    counts = np.zeros((2, n_out), dtype=np.int64)
-    s1 = np.zeros((2, n_out))
-    s2 = np.zeros((2, n_out))
     trials = config.trials
-    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
-        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-        gen = np.random.Generator(np.random.Philox(key=config.seed,
-                                                   counter=block << 64))
-        basis = gen.integers(0, 2, size=size)
-        sent = gen.integers(0, d, size=size)
-        u_eve = gen.random(size=size)
-        u_bob = gen.random(size=size)
-
-        outcome = (eve_cum[basis, sent] < u_eve[:, None]).sum(axis=1)
-        received = (bob_cum[basis, sent, outcome] < u_bob[:, None]).sum(axis=1)
-        diff2 = (values[basis, received] - values[basis, sent]) ** 2
-
-        flat = basis * n_out + outcome
-        counts += np.bincount(flat, minlength=2 * n_out).reshape(2, n_out)
-        s1 += np.bincount(flat, weights=diff2, minlength=2 * n_out).reshape(2, n_out)
-        s2 += np.bincount(flat, weights=diff2 ** 2, minlength=2 * n_out).reshape(2, n_out)
+    counts, s1, s2 = _sample_blocks(eve_cum, bob_cum, values, trials, config.seed)
 
     blocks = []
     for c, obs in enumerate(bases):

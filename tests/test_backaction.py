@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmeter import (
     DimensionMismatch,
+    InternalConsistencyError,
     KrausSet,
     UnreachableOutcome,
     averaged_disturbance,
@@ -21,6 +22,7 @@ from qmeter import (
     retrodictive_operator,
     sequence_statistics,
 )
+from qmeter import backaction
 from qmeter.backaction import WEIGHT_FLOOR
 from qmeter.operators import DEGENERACY_GAP
 from qmeter.verify import random_hermitian, random_kraus_operator
@@ -344,6 +346,34 @@ def test_disturbance_cross_check_survives_large_spectra():
     for _ in range(10):
         report = averaged_disturbance(random_kraus_operator(60, rng), big)
         assert report.consistency_error <= 1e-10 * max(1.0, report.value)
+
+
+LARGE_DEGENERATE = eigendecompose(np.diag([3000.0, 3000.0, 3000.0, 0.0, 1.0, 2.0]))
+
+
+def test_disturbance_cross_check_allows_trace_form_rounding():
+    # M commutes with B, so the eigensum is exactly 0 while the trace form
+    # cancels terms of size 3000^2 and keeps about 1e-9 of rounding error
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for _ in range(300):
+        m = np.diag(rng.random(6) + 0.05).astype(complex)
+        assert averaged_disturbance(m, LARGE_DEGENERATE).value == 0.0
+
+
+@pytest.mark.parametrize("observable,op", [
+    (LARGE_DEGENERATE, np.diag(np.arange(1.0, 7.0)).astype(complex)),
+    (SX, np.diag([0.3, 0.9]).astype(complex)),
+], ids=["large-spectrum", "unit-spectrum"])
+def test_disturbance_cross_check_negative_control(observable, op, monkeypatch):
+    forms = backaction.disturbance_forms
+
+    def offset_forms(op, obs, total):
+        eigensum, trace_form = forms(op, obs, total)
+        return eigensum, trace_form + 10.0 * backaction._forms_tolerance(eigensum, obs)
+
+    monkeypatch.setattr(backaction, "disturbance_forms", offset_forms)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        averaged_disturbance(op, observable)
 
 
 def random_unitary(dim, rng):

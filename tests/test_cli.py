@@ -152,6 +152,7 @@ def partial_nan_kraus_file(tmp_path):
     ["verify", "--dims", "0..2"],
     ["verify", "--samples", "-3"],
     ["verify", "--seed", "-1"],
+    ["verify", "--seed", str(2 ** 128)],
     ["characterize", "--preset", "photon", "--dim", "1"],
     ["characterize", "--preset", "qnd", "--sigma", "-1", "--grid=0..4"],
     ["scenario", {"scenario": "bogus", "dim": 2}],
@@ -168,12 +169,14 @@ def partial_nan_kraus_file(tmp_path):
     *(["scenario", {"scenario": "photon", "dim": 3, field: value}]
       for field in ("trials", "seed") for value in (1.5, 2.0, True, "3")),
     ["scenario", {"scenario": "photon", "dim": 3, "seed": -1}],
-], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "photon-dim", "qnd-sigma", "scenario-name",
+    ["scenario", {"scenario": "photon", "dim": 3, "seed": 2 ** 128}],
+    ["scenario", {"scenario": "photon", "dim": 3}, "--seed", str(2 ** 128)],
+], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma", "scenario-name",
         "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan",
         "scenario-state-dim", "scenario-observable-dim",
         *(f"scenario-{field}-{kind}" for field in ("trials", "seed")
           for kind in ("fraction", "float", "bool", "string")),
-        "scenario-seed-negative"])
+        "scenario-seed-negative", "scenario-seed-2^128", "scenario-seed-flag-2^128"])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
     argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
             else a(tmp_path) if callable(a) else a for a in argv]

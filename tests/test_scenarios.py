@@ -25,6 +25,7 @@ from qmeter import (
     run_scenario,
     validate_completeness,
 )
+from qmeter import scenarios
 from qmeter.serialization import report_json_bytes
 from qmeter.verify import random_complete_kraus_set
 
@@ -243,6 +244,87 @@ class TestEavesdrop:
                 total += 1
                 agree += block.within_three_se
         assert agree / total >= 0.95
+
+
+def reference_sample_blocks(eve_cum, bob_cum, values, trials, seed):
+    """Row-wise fancy-index gather: the block loop the column-major helper replaced."""
+    _, d, n_out = eve_cum.shape
+    counts = np.zeros((2, n_out), dtype=np.int64)
+    s1 = np.zeros((2, n_out))
+    s2 = np.zeros((2, n_out))
+    for block in range((trials + scenarios.TRIAL_BLOCK - 1) // scenarios.TRIAL_BLOCK):
+        size = min(scenarios.TRIAL_BLOCK, trials - block * scenarios.TRIAL_BLOCK)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+        basis = gen.integers(0, 2, size=size)
+        sent = gen.integers(0, d, size=size)
+        u_eve = gen.random(size=size)
+        u_bob = gen.random(size=size)
+
+        outcome = (eve_cum[basis, sent] < u_eve[:, None]).sum(axis=1)
+        received = (bob_cum[basis, sent, outcome] < u_bob[:, None]).sum(axis=1)
+        diff2 = (values[basis, received] - values[basis, sent]) ** 2
+
+        flat = basis * n_out + outcome
+        counts += np.bincount(flat, minlength=2 * n_out).reshape(2, n_out)
+        s1 += np.bincount(flat, weights=diff2, minlength=2 * n_out).reshape(2, n_out)
+        s2 += np.bincount(flat, weights=diff2 ** 2, minlength=2 * n_out).reshape(2, n_out)
+    return counts, s1, s2
+
+
+def random_qubit_config(trials, seed):
+    rng = np.random.Generator(np.random.Philox(key=7))
+    return ScenarioConfig(scenario="eavesdrop", dim=2, trials=trials, seed=seed,
+                          observable_a=SZ, observable_b=SX,
+                          kraus=random_complete_kraus_set(2, 30, rng))
+
+
+def reprepare_dim3_config(trials, seed):
+    from qmeter.verify import random_hermitian
+    rng = np.random.Generator(np.random.Philox(key=11))
+    return ScenarioConfig(scenario="eavesdrop", dim=3, trials=trials, seed=seed,
+                          observable_a=eigendecompose(random_hermitian(3, rng), name="A"),
+                          observable_b=eigendecompose(random_hermitian(3, rng), name="B"),
+                          kraus=random_complete_kraus_set(3, 4, rng),
+                          forwarding="reprepare")
+
+
+def projective_config(observable):
+    return lambda trials, seed: ScenarioConfig(
+        scenario="eavesdrop", dim=2, trials=trials, seed=seed, observable_a=SZ,
+        observable_b=SX, kraus=projective_set(observable))
+
+
+@pytest.mark.parametrize("make_config,trials", [
+    (projective_config(SZ), 3 * 4096 + 1),
+    (projective_config(SX), 3 * 4096 + 1),
+    (random_qubit_config, 3 * 4096 + 1),
+    (reprepare_dim3_config, 3 * 4096 + 1),
+    (projective_config(SZ), 1),
+    (random_qubit_config, 4095),
+    (reprepare_dim3_config, 1),
+    (reprepare_dim3_config, 4095),
+], ids=["sz-set", "sx-set", "random-30-outcome", "reprepare-dim3",
+        "sz-set-1", "random-30-outcome-4095", "reprepare-dim3-1", "reprepare-dim3-4095"])
+def test_sample_blocks_equals_row_wise_reference(make_config, trials, monkeypatch):
+    """The column-major gather reproduces the row-wise loop bit for bit, on the
+    tables eavesdrop_simulation itself builds."""
+    calls = []
+
+    def spy(*args):
+        result = sampler(*args)
+        calls.append((args, result))
+        return result
+
+    sampler = scenarios._sample_blocks
+    monkeypatch.setattr(scenarios, "_sample_blocks", spy)
+    eavesdrop_simulation(make_config(trials, seed=31))
+    (args, (counts, s1, s2)), = calls
+    ref_counts, ref_s1, ref_s2 = reference_sample_blocks(*args)
+    assert counts.sum() == trials
+    assert counts.dtype == ref_counts.dtype
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(s1, ref_s1)
+    assert np.array_equal(s2, ref_s2)
 
 
 class TestCloning:
