@@ -52,7 +52,6 @@ from .measurement import (
     KrausSet,
     PairCheck,
     RetrodictiveOperator,
-    conditional_input_distribution,
     optimal_estimate,
     outcome_probability,
     post_measurement_state,

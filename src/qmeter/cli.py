@@ -16,6 +16,8 @@ identical manifests give byte-identical reports apart from the timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import re
 import sys
 from pathlib import Path
@@ -26,31 +28,20 @@ from . import __version__
 from .characterize import characterize
 from .errors import DimensionMismatch, QmeterError, SchemaError, UnknownObservable
 from .measurement import COMPLETENESS_TOL, validate_completeness
-from .operators import BosonicSpace, named_observable
-from .scenarios import (
-    SEED_LIMIT,
-    ScenarioConfig,
-    classical_teleportation_preset,
-    photon_detector_preset,
-    qnd_preset,
-    run_scenario,
-)
+from .operators import named_observable
+from .scenarios import SEED_LIMIT, ScenarioConfig, preset_kraus, run_scenario
 from .serialization import (
     characterization_rows,
-    cloning_rows,
     complex_vector_from_pairs,
-    disturbance_record_rows,
-    eavesdrop_rows,
     kraus_set_from_dict,
     load_json,
     load_kraus_set,
     make_manifest,
     observable_from_spec,
     observables_from_dict,
-    pair_rows,
     report_json_bytes,
+    report_tables,
     sha256_path,
-    teleport_rows,
     write_table,
 )
 from .verify import (
@@ -63,6 +54,14 @@ from .verify import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+
+def finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and +-inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_complex(text: str) -> complex:
@@ -108,13 +107,13 @@ def parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _write_outputs(out_dir, stem: str, report, manifest, tables, fmt: str) -> None:
-    """Write report JSON plus the requested flat tables under out_dir."""
+def _write_outputs(out_dir, stem: str, report, manifest, fmt: str) -> None:
+    """Write report JSON plus the report's flat tables under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{stem}.json").write_bytes(report_json_bytes(report, manifest))
     if fmt in ("csv", "tsv"):
-        for name, (header, rows) in tables.items():
+        for name, (header, rows) in report_tables(report).items():
             write_table(out / f"{name}.{fmt}", header, rows, fmt)
 
 
@@ -130,30 +129,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _preset_space(args) -> BosonicSpace:
-    dim = args.dim or {"photon": 2, "qnd": 30, "classical-teleport": 60}[args.preset]
+@contextlib.contextmanager
+def _config_fields(where: str):
+    """Report the field errors of a ScenarioConfig built in the block as input errors."""
     try:
-        return BosonicSpace(dim)
-    except ValueError as exc:
-        raise SchemaError(f"--dim {dim}: {exc}") from None
+        yield
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _characterize_inputs(args):
-    """Resolve the Kraus set, observables and pairs for cmd_characterize."""
+    """Resolve the Kraus set, observables and pairs for cmd_characterize, and
+    check the --outcome labels against the set."""
     inputs: dict[str, str] = {}
     if args.preset:
-        space = _preset_space(args)
-        dim = space.levels
+        grid = tuple(parse_grid(args.grid)) if args.grid else ()
+        with _config_fields(f"--preset {args.preset}"):
+            config = ScenarioConfig(scenario=args.preset, dim=args.dim,
+                                    pointer_sigma=args.sigma, outcome_grid=grid)
+        kraus = preset_kraus(config)
+        dim = config.dim
         default_names = ["n"]
-        if args.preset == "photon":
-            kraus = photon_detector_preset(space)
-        else:  # qnd; classical-teleport never reaches here
-            if args.sigma is None or args.grid is None:
-                raise SchemaError("--preset qnd needs --sigma and --grid")
-            try:
-                kraus = qnd_preset(space, args.sigma, parse_grid(args.grid))
-            except ValueError as exc:
-                raise SchemaError(f"--preset qnd: {exc}") from None
     else:
         if not args.kraus_file:
             raise SchemaError("either a Kraus file or --preset is required")
@@ -179,21 +175,13 @@ def _characterize_inputs(args):
         if not b:
             raise SchemaError(f"--pair expects A,B, got {spec!r}")
         pairs.append((a.strip(), b.strip()))
+    unknown = [label for label in args.outcome or [] if label not in kraus.labels]
+    if unknown:
+        raise SchemaError(f"--outcome: no outcome labelled {', '.join(map(repr, unknown))}")
     return kraus, observables, pairs, inputs
 
 
 def cmd_characterize(args) -> int:
-    if args.preset == "classical-teleport":
-        alpha = parse_complex(args.alpha or "0")
-        body = classical_teleportation_preset(alpha, _preset_space(args))
-        manifest = make_manifest(sys.argv[1:], {}, {}, None, __version__)
-        print(f"alpha estimate: {body.estimate.real:+.6f}{body.estimate.imag:+.6f}i")
-        print(f"resolution x, y: {body.resolution_x:.6f}, {body.resolution_y:.6f}")
-        print(f"disturbance x, y: {body.disturbance_x:.6f}, {body.disturbance_y:.6f}")
-        if args.out:
-            _write_outputs(args.out, "report", body, manifest, {}, args.format)
-        return EXIT_OK
-
     kraus, observables, pairs, inputs = _characterize_inputs(args)
     report = characterize(kraus, observables, pairs, completeness_tol=args.tol)
     if args.outcome:
@@ -217,13 +205,7 @@ def cmd_characterize(args) -> int:
                   f"disturbance slack {dc.slack:.3e} ({'ok' if dc.satisfied else 'VIOLATED'})")
 
     if args.out:
-        tables = {
-            "characterization": characterization_rows(report),
-            "pairs": pair_rows(report),
-            "disturbance_records": disturbance_record_rows(report),
-        }
-        _write_outputs(args.out, "report", report, manifest,
-                       tables, args.format)
+        _write_outputs(args.out, "report", report, manifest, args.format)
     return EXIT_OK
 
 
@@ -243,7 +225,7 @@ def cmd_verify(args) -> int:
     manifest = make_manifest(sys.argv[1:], {}, {"slack_tol": args.tol},
                              args.seed, __version__)
     if args.out:
-        _write_outputs(args.out, "verify", report, manifest, {}, "json")
+        _write_outputs(args.out, "verify", report, manifest, "json")
     if not report.passed:
         offender = report.worst_offender()
         if offender is not None:
@@ -255,24 +237,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _config_integer(obj, key: str, default: int) -> int:
-    """A config field that must be a JSON integer (not a float, bool or string)."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"scenario config: {key} must be an integer, got {value!r}")
-    return value
-
-
 def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise SchemaError("scenario config: expected a JSON object")
     for key in ("scenario", "dim"):
         if key not in obj:
             raise SchemaError(f"scenario config: missing field {key!r}")
-    scenario = obj["scenario"]
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 2:
-        raise SchemaError("scenario config: dim must be an integer >= 2")
     kraus = None
     if "kraus" in obj:
         spec = obj["kraus"]
@@ -280,39 +251,33 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
             kraus = load_kraus_set(spec["file"])
         else:
             kraus = kraus_set_from_dict(spec, "config.kraus")
-    observables = obj.get("observables", {})
-    if not isinstance(observables, dict):
+    specs = obj.get("observables", {})
+    if not isinstance(specs, dict):
         raise SchemaError("scenario config: observables must be an object")
-    obs_a = obs_b = None
-    if "A" in observables:
-        name = observables["A"] if isinstance(observables["A"], str) else "A"
-        obs_a = observable_from_spec(observables["A"], dim, name=name,
-                                     where="config.observables.A")
-    if "B" in observables:
-        name = observables["B"] if isinstance(observables["B"], str) else "B"
-        obs_b = observable_from_spec(observables["B"], dim, name=name,
-                                     where="config.observables.B")
     states = tuple(matrix_literal_vector(v, f"config.states[{i}]")
                    for i, v in enumerate(obj.get("states", [])))
     alpha = obj.get("alpha", 0)
     if isinstance(alpha, str):
         alpha = parse_complex(alpha)
-    elif isinstance(alpha, list) and len(alpha) == 2:
-        alpha = complex(alpha[0], alpha[1])
-    try:
+    elif isinstance(alpha, list):
+        alpha = complex(complex_vector_from_pairs([alpha], "config.alpha")[0])
+    with _config_fields("scenario config"):
+        # Observables are resolved against dim before ScenarioConfig checks it,
+        # so a malformed dim may surface here first, still as an input error.
+        obs = {key: observable_from_spec(spec, dim, where=f"config.observables.{key}",
+                                         name=spec if isinstance(spec, str) else key)
+               for key, spec in specs.items() if key in ("A", "B")}
         return ScenarioConfig(
-            scenario=str(scenario), dim=dim,
-            trials=_config_integer(obj, "trials", 1),
-            seed=seed_override if seed_override is not None else _config_integer(obj, "seed", 0),
-            observable_a=obs_a, observable_b=obs_b, kraus=kraus,
+            scenario=str(obj["scenario"]), dim=dim,
+            trials=obj.get("trials", 1),
+            seed=obj.get("seed", 0) if seed_override is None else seed_override,
+            observable_a=obs.get("A"), observable_b=obs.get("B"), kraus=kraus,
             pointer_sigma=obj.get("pointer_sigma"),
             outcome_grid=tuple(obj.get("outcome_grid", [])),
-            alpha=complex(alpha),
+            alpha=alpha,
             states=states,
             forwarding=str(obj.get("forwarding", "resend")),
         )
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise SchemaError(f"scenario config: {exc}") from exc
 
 
 def matrix_literal_vector(obj, where: str) -> np.ndarray:
@@ -330,17 +295,7 @@ def cmd_scenario(args) -> int:
                              {}, config.seed, __version__)
     print(f"scenario {report.scenario}: {'PASS' if report.passed else 'FAIL'}")
     if args.out:
-        tables = {}
-        if report.scenario == "eavesdrop":
-            tables["eavesdrop"] = eavesdrop_rows(report.body)
-        elif report.scenario in ("photon", "qnd"):
-            tables["characterization"] = characterization_rows(report.body)
-            tables["disturbance_records"] = disturbance_record_rows(report.body)
-        elif report.scenario == "classical_teleport":
-            tables["teleport"] = teleport_rows(report.body)
-        elif report.scenario == "cloning":
-            tables["cloning"] = cloning_rows(report.body)
-        _write_outputs(args.out, "scenario", report, manifest, tables, args.format)
+        _write_outputs(args.out, "scenario", report, manifest, args.format)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -353,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_completeness_tol(p):
-        p.add_argument("--tol", type=float, default=COMPLETENESS_TOL,
+        p.add_argument("--tol", type=finite_float, default=COMPLETENESS_TOL,
                        help="completeness tolerance")
 
     def add_out(p, tables: bool):
@@ -370,17 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_char = sub.add_parser("characterize", help="characterize a measurement")
     p_char.add_argument("kraus_file", nargs="?",
                         help="Kraus-set JSON file (or use --preset)")
-    p_char.add_argument("--preset", choices=("photon", "qnd", "classical-teleport"))
+    p_char.add_argument("--preset", choices=("photon", "qnd"),
+                        help="built-in Kraus set; needs --dim (qnd also --sigma, --grid)")
     p_char.add_argument("--observables", help="named-observables JSON file")
     p_char.add_argument("--names", help="comma list of built-in observables")
     p_char.add_argument("--pair", action="append",
                         help="observable pair A,B to check (repeatable)")
     p_char.add_argument("--outcome", action="append",
                         help="restrict the report to these outcome labels")
-    p_char.add_argument("--dim", type=int)
-    p_char.add_argument("--sigma", type=float, help="QND pointer width")
+    p_char.add_argument("--dim", type=int, help="Fock-space dimension of the preset")
+    p_char.add_argument("--sigma", type=finite_float, help="QND pointer width")
     p_char.add_argument("--grid", help="QND outcome grid, e.g. -10..40")
-    p_char.add_argument("--alpha", help="coherent amplitude, e.g. 0.5+0.3i")
     add_completeness_tol(p_char)
     add_out(p_char, tables=True)
     p_char.set_defaults(func=cmd_characterize)
@@ -388,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="randomized relation suite")
     p_verify.add_argument("--dims", default="2..6")
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_verify.add_argument("--bound-scale", type=float, default=1.0,
+    p_verify.add_argument("--bound-scale", type=finite_float, default=1.0,
                           help="negative-control hook: inflate all bounds")
-    p_verify.add_argument("--tol", type=float, default=SLACK_TOL,
+    p_verify.add_argument("--tol", type=finite_float, default=SLACK_TOL,
                           help="slack tolerance for the relations")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_out(p_verify, tables=False)

@@ -221,23 +221,6 @@ def retrodictive_operator(operator, source_outcome: Hashable = None,
                                 total_weight=weight)
 
 
-def conditional_input_distribution(operator, observable: HermitianObservable) -> dict[float, float]:
-    """Probability of each eigenvalue of the observable given the outcome.
-
-    Degenerate eigenvalues aggregate the probability of their whole
-    eigenspace, which keeps the result independent of the arbitrary basis
-    chosen inside it. Keys ascend; values sum to one.
-    """
-    retro = retrodictive_operator(operator)
-    require_same_dim(retro.matrix, observable.matrix)
-    dist: dict[float, float] = {}
-    for value, indices in observable.eigenvalue_groups():
-        vecs = observable.eigenvectors[:, indices]
-        prob = float(np.einsum("ij,ik,kj->", vecs.conj(), retro.matrix, vecs).real)
-        dist[value] = max(0.0, prob)
-    return dist
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Best eigenvalue estimate for one outcome and its mean squared error."""

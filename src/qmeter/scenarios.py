@@ -1,7 +1,9 @@
 """Worked measurement scenarios: presets and Monte Carlo experiments.
 
 Presets build Kraus sets (single-photon detection, Gaussian-pointer QND,
-coherent-state projection, measure-and-prepare cloning); the eavesdropping
+coherent-state projection, measure-and-prepare cloning). ``ScenarioConfig``
+is the one check of preset parameters, and ``preset_kraus`` builds the photon
+and QND sets from it for both ``run_scenario`` and the CLI; the eavesdropping
 scenario runs a seeded intercept-resend Monte Carlo against the analytic
 disturbances. All analytic numbers come from the measurement and back-action
 modules, never from scenario-local formulas, so every preset doubles as an
@@ -18,7 +20,9 @@ row-wise gather, so counts and sums are unchanged to the last bit.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +50,7 @@ from .operators import (
     bosonic_operators,
     coherent_state,
     eigendecompose,
+    named_observable,
 )
 
 TRIAL_BLOCK = 4096
@@ -179,12 +184,17 @@ def coherent_grid_completeness(space: BosonicSpace, half_width: float,
     }
 
 
+def _finite(value, kind) -> bool:
+    """A finite number of the given numbers ABC; bools and strings are not."""
+    return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Configuration shared by every scenario runner.
 
-    Only the fields a given scenario needs have to be set; the JSON loader in
-    the CLI fills this in from a config file.
+    Only the fields a given scenario needs have to be set; the CLI fills this
+    in from a config file or from the flags of ``characterize --preset``.
     """
 
     scenario: str
@@ -203,15 +213,29 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        missing = [f for f in SCENARIOS[self.scenario] if getattr(self, f) in (None, ())]
+        for name in ("dim", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.dim < 2:
+            raise ValueError(f"dim must be at least 2, got {self.dim}")
+        required = {f: getattr(self, f) for f in SCENARIOS[self.scenario]}
+        missing = [f for f, v in required.items()
+                   if v is None or (isinstance(v, tuple) and not v)]  # no == on numpy values
         if missing:
             raise ValueError(f"{self.scenario} scenario needs {', '.join(missing)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
-        if self.pointer_sigma is not None and not self.pointer_sigma > 0.0:
-            raise ValueError("pointer_sigma must be positive")
+        sigma = self.pointer_sigma
+        if sigma is not None and not (_finite(sigma, numbers.Real) and sigma > 0.0):
+            raise ValueError(f"pointer_sigma must be positive and finite, got {sigma!r}")
+        for value in self.outcome_grid:
+            if not _finite(value, numbers.Real):
+                raise ValueError(f"outcome_grid entries must be finite reals, got {value!r}")
+        if not _finite(self.alpha, numbers.Complex):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
         if self.forwarding not in ("resend", "reprepare"):
             raise ValueError(f"unknown forwarding strategy {self.forwarding!r}")
         for obs in (self.observable_a, self.observable_b):
@@ -473,21 +497,27 @@ class ScenarioReport:
     passed: bool
 
 
+def preset_kraus(config: ScenarioConfig) -> KrausSet:
+    """The Kraus set of a photon or qnd config, on its truncated Fock space."""
+    space = BosonicSpace(config.dim)
+    if config.scenario == "photon":
+        return photon_detector_preset(space)
+    if config.scenario == "qnd":
+        return qnd_preset(space, config.pointer_sigma, config.outcome_grid)
+    raise ValueError(f"{config.scenario} scenario has no preset Kraus set")
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Dispatch a scenario config to its runner."""
     body: object
     if config.scenario == "photon":
-        space = BosonicSpace(config.dim)
-        kraus = photon_detector_preset(space)
-        body = _characterize_with_defaults(kraus, config, space)
+        body = _characterize_with_defaults(preset_kraus(config), config)
         passed = all(o.status == "ok" for o in body.outcomes)
     elif config.scenario == "qnd":
-        space = BosonicSpace(config.dim)
-        kraus = qnd_preset(space, config.pointer_sigma, config.outcome_grid)
-        body = _characterize_with_defaults(kraus, config, space)
+        body = _characterize_with_defaults(preset_kraus(config), config)
         passed = body.completeness.passed
     elif config.scenario == "classical_teleport":
-        body = classical_teleportation_preset(config.alpha, BosonicSpace(config.dim))
+        body = classical_teleportation_preset(complex(config.alpha), BosonicSpace(config.dim))
         passed = True
     elif config.scenario == "eavesdrop":
         body = eavesdrop_simulation(config)
@@ -500,13 +530,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                           body=body, passed=passed)
 
 
-def _characterize_with_defaults(kraus: KrausSet, config: ScenarioConfig,
-                                space: BosonicSpace) -> CharacterizationReport:
+def _characterize_with_defaults(kraus: KrausSet,
+                                config: ScenarioConfig) -> CharacterizationReport:
     observables = {}
     for obs in (config.observable_a, config.observable_b):
         if obs is not None:
             observables[obs.name or f"obs{len(observables)}"] = obs
-    if not observables:
-        number = eigendecompose(bosonic_operators(space).number, name="n")
-        observables = {"n": number}
-    return characterize(kraus, observables)
+    return characterize(kraus, observables or {"n": named_observable("n", config.dim)})

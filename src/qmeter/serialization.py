@@ -20,9 +20,16 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .characterize import CharacterizationReport
 from .errors import DimensionMismatch, SchemaError, UnknownObservable
 from .measurement import KrausSet
 from .operators import HermitianObservable, as_complex_matrix, eigendecompose, named_observable
+from .scenarios import (
+    CloningReport,
+    EavesdropReport,
+    ScenarioReport,
+    TeleportationCharacterization,
+)
 
 
 def matrix_to_literal(matrix) -> dict:
@@ -35,11 +42,11 @@ def matrix_to_literal(matrix) -> dict:
 
 
 def complex_vector_from_pairs(pairs: list, where: str) -> np.ndarray:
-    """[[re, im], ...] with finite numeric parts as a complex128 vector."""
+    """[[re, im], ...] with finite numeric (not bool) parts as a complex128 vector."""
     out = np.empty(len(pairs), dtype=np.complex128)
     for i, pair in enumerate(pairs):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+        if (not isinstance(pair, list) or len(pair) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
             raise SchemaError(f"{where}[{i}]: expected [re, im]")
         if not all(math.isfinite(v) for v in pair):
             raise SchemaError(f"{where}[{i}]: entries must be finite, got {pair}")
@@ -280,6 +287,25 @@ def eavesdrop_rows(report) -> tuple[list[str], list[list]]:
                          repr(stat.empirical.mean), repr(stat.empirical.std_error),
                          stat.empirical.count, stat.within_three_se])
     return header, rows
+
+
+# The flat tables written next to each report type, by table name.
+_TABLES = {
+    CharacterizationReport: (("characterization", characterization_rows),
+                             ("pairs", pair_rows),
+                             ("disturbance_records", disturbance_record_rows)),
+    TeleportationCharacterization: (("teleport", teleport_rows),),
+    CloningReport: (("cloning", cloning_rows),),
+    EavesdropReport: (("eavesdrop", eavesdrop_rows),),
+}
+
+
+def report_tables(report) -> dict[str, tuple[list[str], list[list]]]:
+    """Header and rows of every flat table of a report (a scenario's come from
+    its body); report types without tables give none."""
+    if isinstance(report, ScenarioReport):
+        report = report.body
+    return {name: rows(report) for name, rows in _TABLES.get(type(report), ())}
 
 
 def sha256_path(path) -> str:

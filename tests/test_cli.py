@@ -96,13 +96,35 @@ class TestCharacterize:
         assert (out / "characterization.csv").exists()
         assert "manifest" in report
 
-    def test_teleport_preset(self, capsys):
-        assert main(["characterize", "--preset", "classical-teleport",
-                     "--alpha", "0.5+0.3i", "--dim", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "+0.500000+0.300000i" in out
-        assert "0.250000" in out
-        assert "0.500000" in out
+    def test_teleport_preset(self, tmp_path):
+        # teleportation has no characterize preset; its one path is the scenario config
+        config = write_json(tmp_path / "teleport.json", {
+            "scenario": "classical_teleport", "dim": 60, "alpha": "0.5+0.3i"})
+        out = tmp_path / "tp"
+        assert main(["scenario", config, "--out", str(out)]) == 0
+        body = json.loads((out / "scenario.json").read_bytes())["report"]["body"]
+        assert body["estimate"]["re"] == pytest.approx(0.5, abs=5e-7)
+        assert body["estimate"]["im"] == pytest.approx(0.3, abs=5e-7)
+        for quadrature in ("x", "y"):
+            assert body[f"resolution_{quadrature}"] == pytest.approx(0.25, abs=5e-7)
+            assert body[f"disturbance_{quadrature}"] == pytest.approx(0.5, abs=5e-7)
+
+    def test_preset_needs_dim(self, capsys):
+        assert main(["characterize", "--preset", "photon"]) == 2
+        err = capsys.readouterr().err
+        assert "input error:" in err and "dim" in err
+
+    def test_preset_and_scenario_config_give_equal_rows(self, tmp_path):
+        preset, scenario = tmp_path / "preset", tmp_path / "scenario"
+        assert main(["characterize", "--preset", "qnd", "--dim", "12", "--sigma", "3",
+                     "--grid=-5..16", "--out", str(preset)]) == 0
+        config = write_json(tmp_path / "qnd.json", {
+            "scenario": "qnd", "dim": 12, "pointer_sigma": 3,
+            "outcome_grid": list(range(-5, 17))})
+        assert main(["scenario", config, "--out", str(scenario)]) == 0
+        rows = (preset / "characterization.csv").read_text()
+        assert len(rows.splitlines()) == 23  # header + 22 outcomes with one row each
+        assert (scenario / "characterization.csv").read_text() == rows
 
     def test_qnd_preset(self, tmp_path):
         out = tmp_path / "qnd"
@@ -131,6 +153,14 @@ class TestCharacterize:
     def test_unknown_observable_is_input_error(self, projective_file):
         assert main(["characterize", projective_file, "--names", "bogus"]) == 2
 
+    def test_unknown_outcome_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["characterize", "--preset", "photon", "--dim", "3",
+                     "--outcome", "n=1", "--outcome", "bogus", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error:" in err and "'bogus'" in err and "'n=1'" not in err
+        assert not out.exists()
+
     def test_tsv_format(self, projective_file, tmp_path):
         out = tmp_path / "tsv"
         assert main(["characterize", projective_file, "--names", "sz",
@@ -154,7 +184,8 @@ def partial_nan_kraus_file(tmp_path):
     ["verify", "--seed", "-1"],
     ["verify", "--seed", str(2 ** 128)],
     ["characterize", "--preset", "photon", "--dim", "1"],
-    ["characterize", "--preset", "qnd", "--sigma", "-1", "--grid=0..4"],
+    ["characterize", "--preset", "qnd", "--dim", "4", "--sigma", "-1", "--grid=0..4"],
+    ["characterize", "--preset", "qnd", "--dim", "4", "--sigma", "1", "--grid=1,nan"],
     ["scenario", {"scenario": "bogus", "dim": 2}],
     ["scenario", {"scenario": "qnd", "dim": 4, "pointer_sigma": 0,
                   "outcome_grid": [0, 1, 2]}],
@@ -171,12 +202,24 @@ def partial_nan_kraus_file(tmp_path):
     ["scenario", {"scenario": "photon", "dim": 3, "seed": -1}],
     ["scenario", {"scenario": "photon", "dim": 3, "seed": 2 ** 128}],
     ["scenario", {"scenario": "photon", "dim": 3}, "--seed", str(2 ** 128)],
-], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma", "scenario-name",
+    *(["scenario", {"scenario": "qnd", "dim": 6, "pointer_sigma": 2, "outcome_grid": grid}]
+      for grid in ([0, "a", 3], [0, float("nan"), 3], [0, True, 3])),
+    ["scenario", {"scenario": "qnd", "dim": 6, "pointer_sigma": float("inf"),
+                  "outcome_grid": [0, 1, 2]}],
+    *(["scenario", {"scenario": "classical_teleport", "dim": 8, "alpha": alpha}]
+      for alpha in ([float("nan"), 0], "nan", True, [True, 0], [0.5])),
+    *(["scenario", {"scenario": "photon", "dim": dim}] for dim in (1, 2.0, True, "3")),
+], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
+        "qnd-grid-nan-flag", "scenario-name",
         "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan",
         "scenario-state-dim", "scenario-observable-dim",
         *(f"scenario-{field}-{kind}" for field in ("trials", "seed")
           for kind in ("fraction", "float", "bool", "string")),
-        "scenario-seed-negative", "scenario-seed-2^128", "scenario-seed-flag-2^128"])
+        "scenario-seed-negative", "scenario-seed-2^128", "scenario-seed-flag-2^128",
+        "scenario-grid-string", "scenario-grid-nan", "scenario-grid-bool", "scenario-sigma-inf",
+        "scenario-alpha-nan-pair", "scenario-alpha-nan-string", "scenario-alpha-bool",
+        "scenario-alpha-bool-pair", "scenario-alpha-short-pair",
+        *(f"scenario-dim-{kind}" for kind in ("one", "float", "bool", "string"))])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
     argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
             else a(tmp_path) if callable(a) else a for a in argv]
@@ -199,14 +242,26 @@ def test_flags_without_effect_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "2", "--samples", "5", "--bound-scale", "nan"],
+    ["verify", "--dims", "2", "--samples", "5", "--tol", "inf"],
+    ["validate", "k.json", "--tol", "nan"],
+    ["characterize", "k.json", "--tol=-inf"],
+    ["characterize", "--preset", "qnd", "--dim", "4", "--sigma", "nan", "--grid=0..4"],
+])
+def test_non_finite_float_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
 def test_manifest_records_only_applied_tolerances(tmp_path):
-    teleport, scenario = tmp_path / "tp", tmp_path / "sc"
-    assert main(["characterize", "--preset", "classical-teleport", "--dim", "20",
-                 "--out", str(teleport)]) == 0
-    config = write_json(tmp_path / "cfg.json", {"scenario": "photon", "dim": 3})
-    assert main(["scenario", config, "--out", str(scenario)]) == 0
-    for path in (teleport / "report.json", scenario / "scenario.json"):
-        assert json.loads(path.read_bytes())["manifest"]["tolerances"] == {}
+    for name, obj in (("tp", {"scenario": "classical_teleport", "dim": 20}),
+                      ("sc", {"scenario": "photon", "dim": 3})):
+        config, out = write_json(tmp_path / f"{name}.json", obj), tmp_path / name
+        assert main(["scenario", config, "--out", str(out)]) == 0
+        assert json.loads((out / "scenario.json").read_bytes())["manifest"]["tolerances"] == {}
 
 
 class TestVerify:

@@ -10,7 +10,6 @@ from qmeter import (
     UnknownOutcome,
     UnreachableOutcome,
     ZeroProbabilityOutcome,
-    conditional_input_distribution,
     eigendecompose,
     named_observable,
     optimal_estimate,
@@ -161,36 +160,6 @@ class TestRetrodictiveOperator:
             assert np.linalg.eigvalsh(retro.matrix)[0] >= -1e-10
 
 
-class TestConditionalInputDistribution:
-    def test_absorber_vs_number(self):
-        n3 = eigendecompose(np.diag([0.0, 1.0, 2.0]), name="n")
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 1] = 1.0
-        dist = conditional_input_distribution(m, n3)
-        assert dist[1.0] == pytest.approx(1.0, abs=1e-15)
-        assert dist[0.0] == 0.0 and dist[2.0] == 0.0
-
-    def test_uniform_retrodiction(self):
-        dist = conditional_input_distribution(np.eye(2) / math.sqrt(2), SZ)
-        assert dist[1.0] == pytest.approx(0.5, abs=1e-15)
-        assert dist[-1.0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_diagonal_damping(self):
-        dist = conditional_input_distribution(np.diag([1.0, 0.5]), SZ)
-        assert dist[1.0] == pytest.approx(0.8, abs=1e-15)
-        assert dist[-1.0] == pytest.approx(0.2, abs=1e-15)
-
-    def test_degenerate_aggregation_and_normalization(self):
-        rng = np.random.Generator(np.random.Philox(key=29))
-        obs = eigendecompose(np.diag([1.0, 1.0, 4.0]))
-        for _ in range(20):
-            m = random_kraus_operator(3, rng)
-            dist = conditional_input_distribution(m, obs)
-            assert set(dist) == {1.0, 4.0}
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-            assert all(p >= 0.0 for p in dist.values())
-
-
 class TestOptimalEstimate:
     def test_photon_absorber_perfect_resolution(self):
         report = optimal_estimate(ABSORB, N2)
@@ -308,24 +277,6 @@ class TestParabolaIdentity:
                 expected = report.error + (float(c) - report.estimate) ** 2
                 assert quadratic_error(m, obs, float(c)) == pytest.approx(
                     expected, abs=1e-10)
-
-
-class TestDegenerateDistributionOracle:
-    def test_matches_projector_trace(self):
-        # oracle: p(lambda|m) = tr{P_lambda M'M} / tr{M'M} with P built by hand
-        rng = np.random.Generator(np.random.Philox(key=157))
-        obs = eigendecompose(np.diag([2.0, 2.0, 5.0, 5.0, 7.0]))
-        for _ in range(10):
-            m = random_kraus_operator(5, rng)
-            gram = m.conj().T @ m
-            total = np.trace(gram).real
-            proj2 = np.diag([1.0, 1, 0, 0, 0])
-            proj5 = np.diag([0.0, 0, 1, 1, 0])
-            proj7 = np.diag([0.0, 0, 0, 0, 1])
-            dist = conditional_input_distribution(m, obs)
-            assert dist[2.0] == pytest.approx(np.trace(proj2 @ gram).real / total, abs=1e-12)
-            assert dist[5.0] == pytest.approx(np.trace(proj5 @ gram).real / total, abs=1e-12)
-            assert dist[7.0] == pytest.approx(np.trace(proj7 @ gram).real / total, abs=1e-12)
 
 
 def test_retrodictive_expectation_accepts_raw_matrices():

@@ -381,6 +381,37 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(scenario="nope", dim=2))
 
+    def test_preset_kraus_matches_the_presets(self):
+        photon = scenarios.preset_kraus(ScenarioConfig(scenario="photon", dim=3))
+        assert photon.labels == photon_detector_preset(BosonicSpace(3)).labels
+        grid = (-2.0, 0.0, 1.5, 4.0)
+        qnd = scenarios.preset_kraus(ScenarioConfig(
+            scenario="qnd", dim=4, pointer_sigma=1.5, outcome_grid=grid))
+        expected = qnd_preset(BosonicSpace(4), 1.5, grid)
+        assert qnd.labels == expected.labels
+        for op, ref in zip(qnd.operators, expected.operators):
+            assert np.array_equal(op, ref)
+        with pytest.raises(ValueError):
+            scenarios.preset_kraus(ScenarioConfig(scenario="classical_teleport", dim=4))
+
+    @pytest.mark.parametrize("fields", [
+        {"scenario": "photon", "dim": dim} for dim in (1, 2.5, True, "3", None)] + [
+        {"scenario": "qnd", "dim": 4, "pointer_sigma": sigma, "outcome_grid": (0.0,)}
+        for sigma in (0.0, float("inf"), float("nan"), True, "2")] + [
+        {"scenario": "qnd", "dim": 4, "pointer_sigma": 1.0, "outcome_grid": grid}
+        for grid in ((0.0, float("nan")), (0.0, float("-inf")), (True,), ("1",), (1j,))] + [
+        {"scenario": "classical_teleport", "dim": 4, "alpha": alpha}
+        for alpha in (complex(float("nan"), 0.0), float("inf"), True, "0.5")])
+    def test_preset_fields_validated(self, fields):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**fields)
+
+    def test_numpy_preset_fields_accepted(self):
+        config = ScenarioConfig(scenario="qnd", dim=4, pointer_sigma=np.float64(2.0),
+                                outcome_grid=tuple(np.arange(-2.0, 6.0)),
+                                alpha=np.complex128(0.5 + 0.25j))
+        assert len(scenarios.preset_kraus(config)) == 8
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="photon", dim=2, trials=0)

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from qmeter import KrausSet, SchemaError, characterize, named_observable
+from qmeter import (
+    KrausSet,
+    SchemaError,
+    ScenarioConfig,
+    characterize,
+    named_observable,
+    run_scenario,
+)
 from qmeter.serialization import (
     characterization_rows,
     disturbance_record_rows,
@@ -15,6 +22,7 @@ from qmeter.serialization import (
     observables_from_dict,
     pair_rows,
     report_json_bytes,
+    report_tables,
     save_kraus_set,
 )
 from qmeter.verify import random_complete_kraus_set
@@ -38,6 +46,8 @@ class TestMatrixLiteral:
             matrix_from_literal({"rows": 2, "cols": 2, "data": [[1, 0]]})
         with pytest.raises(SchemaError):
             matrix_from_literal({"rows": 2, "cols": 1, "data": [[1, 0], ["x", 0]]})
+        with pytest.raises(SchemaError):
+            matrix_from_literal({"rows": 2, "cols": 1, "data": [[1, 0], [True, 0]]})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_entries_rejected(self, bad):
@@ -135,6 +145,18 @@ class TestReportSerialization:
         # values round-trip through repr
         value = float(rows[0][-1])
         assert value >= 0.0
+
+    def test_report_tables_by_report_type(self):
+        report = self.build_report()
+        tables = report_tables(report)
+        assert list(tables) == ["characterization", "pairs", "disturbance_records"]
+        assert tables["pairs"] == pair_rows(report)
+        photon = run_scenario(ScenarioConfig(scenario="photon", dim=3))
+        assert report_tables(photon) == report_tables(photon.body)
+        assert list(report_tables(photon)) == list(tables)
+        teleport = run_scenario(ScenarioConfig(scenario="classical_teleport", dim=8))
+        assert list(report_tables(teleport)) == ["teleport"]
+        assert report_tables({"x": 1.0}) == {}
 
     def test_json_is_loadable_and_sorted(self):
         payload = json.loads(report_json_bytes(self.build_report()))
