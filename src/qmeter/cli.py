@@ -29,7 +29,7 @@ from .characterize import characterize
 from .errors import DimensionMismatch, QmeterError, SchemaError, UnknownObservable
 from .measurement import COMPLETENESS_TOL, validate_completeness
 from .operators import named_observable
-from .scenarios import SEED_LIMIT, ScenarioConfig, preset_kraus, run_scenario
+from .scenarios import SEED_LIMIT, ScenarioConfig, preset_kraus, require_integer, run_scenario
 from .serialization import (
     characterization_rows,
     complex_vector_from_pairs,
@@ -262,8 +262,7 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
     elif isinstance(alpha, list):
         alpha = complex(complex_vector_from_pairs([alpha], "config.alpha")[0])
     with _config_fields("scenario config"):
-        # Observables are resolved against dim before ScenarioConfig checks it,
-        # so a malformed dim may surface here first, still as an input error.
+        require_integer("dim", dim, minimum=2)
         obs = {key: observable_from_spec(spec, dim, where=f"config.observables.{key}",
                                          name=spec if isinstance(spec, str) else key)
                for key, spec in specs.items() if key in ("A", "B")}

@@ -58,10 +58,12 @@ TRIAL_BLOCK = 4096
 # Seeds key numpy's Philox generator, whose keys are 128-bit unsigned integers.
 SEED_LIMIT = 1 << 128
 
-# Every scenario name with the config fields it cannot run without.
+# Every scenario name with the config fields it cannot run without. The
+# pointer fields are read by the scenarios that list them and by no other.
+POINTER_FIELDS = ("pointer_sigma", "outcome_grid")
 SCENARIOS = {
     "photon": (),
-    "qnd": ("pointer_sigma", "outcome_grid"),
+    "qnd": POINTER_FIELDS,
     "classical_teleport": (),
     "eavesdrop": ("kraus", "observable_a", "observable_b"),
     "cloning": ("observable_a", "states"),
@@ -184,6 +186,19 @@ def coherent_grid_completeness(space: BosonicSpace, half_width: float,
     }
 
 
+def require_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) and, when
+    ``minimum`` is given, at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def _unset(value) -> bool:
+    return value is None or (isinstance(value, tuple) and not value)  # no == on numpy values
+
+
 def _finite(value, kind) -> bool:
     """A finite number of the given numbers ABC; bools and strings are not."""
     return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
@@ -213,19 +228,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        for name in ("dim", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be at least 2, got {self.dim}")
-        required = {f: getattr(self, f) for f in SCENARIOS[self.scenario]}
-        missing = [f for f, v in required.items()
-                   if v is None or (isinstance(v, tuple) and not v)]  # no == on numpy values
+        require_integer("dim", self.dim, minimum=2)
+        require_integer("trials", self.trials, minimum=1)
+        require_integer("seed", self.seed)
+        fields = SCENARIOS[self.scenario]
+        missing = [f for f in fields if _unset(getattr(self, f))]
         if missing:
             raise ValueError(f"{self.scenario} scenario needs {', '.join(missing)}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        unread = [f for f in POINTER_FIELDS if f not in fields and not _unset(getattr(self, f))]
+        if unread:
+            raise ValueError(f"{self.scenario} scenario does not read {', '.join(unread)}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         sigma = self.pointer_sigma

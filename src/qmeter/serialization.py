@@ -2,21 +2,29 @@
 
 The matrix literal is ``{"rows": R, "cols": C, "data": [[re, im], ...]}`` in
 row-major order; floats serialize via their shortest round-tripping decimal
-form, so save/load round-trips are entrywise exact. Report serialization is
-deterministic (sorted keys, fixed separators): identical runs give identical
-bytes apart from the manifest timestamp.
+form, so save/load round-trips are entrywise exact.
+
+Reports are written in one pass over the report objects, as string pieces
+joined once. The bytes are those ``json.dumps(..., sort_keys=True, indent=2,
+separators=(",", ": "))`` gives for the report as plain dicts and lists, but
+without its pure-Python indenting encoder or a copy of the report. Non-finite
+floats are written as the strings "nan", "inf" and "-inf". Identical runs give
+identical bytes apart from the manifest timestamp.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import time
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -161,38 +169,99 @@ def observables_from_dict(obj, where: str = "observables") -> dict[str, Hermitia
     return out
 
 
-def to_jsonable(value) -> Any:
-    """Recursively convert report objects to JSON-ready structures."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
+_INDENT = "  "
+
+
+@functools.cache
+def _dataclass_keys(cls: type) -> tuple[tuple[str, str], ...] | None:
+    """Field names of a dataclass type in sorted order, each paired with its
+    encoded ``"name": `` key; None for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple((name, encode_basestring_ascii(name) + ": ")
+                 for name in sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _float_json(value: float) -> str:
+    """Shortest round-trip decimal; "nan", "inf" and "-inf" as strings, since
+    JSON has no literal for them."""
+    text = float.__repr__(value)
+    return text if math.isfinite(value) else '"' + text + '"'
+
+
+def _write_container(brackets: str, members, nl: str, out) -> None:
+    """An array or object from (prefix, value) members, where the prefix is
+    the encoded ``"key": `` of an object member and empty for an array item."""
+    if not members:
+        out(brackets)
+        return
+    inner = nl + _INDENT
+    sep = brackets[0] + inner
+    for prefix, item in members:
+        out(sep + prefix)
+        _write_json(item, inner, out)
+        sep = "," + inner
+    out(nl + brackets[1])
+
+
+def _write_json(value, nl: str, out) -> None:
+    """Append the JSON text of ``value`` to ``out`` in pieces. ``nl`` is the
+    newline plus indent of the line ``value`` starts on.
+
+    Dataclasses and Mappings become objects with sorted keys (Mapping keys
+    through ``str``), lists, tuples and 1-D arrays become arrays, 2-D arrays
+    matrix literals, complex numbers ``{"im", "re"}`` objects and numpy
+    scalars their Python value; anything else JSON cannot hold is a
+    TypeError.
+    """
+    cls = value.__class__
+    if cls is float:
+        out(_float_json(value))
+        return
+    keys = _dataclass_keys(cls)
+    if keys is not None:
+        _write_container("{}", [(key, getattr(value, name)) for name, key in keys], nl, out)
+    elif isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(_float_json(value))
+    elif isinstance(value, (list, tuple)):
+        _write_container("[]", [("", item) for item in value], nl, out)
+    elif isinstance(value, Mapping):
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        _write_container("{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in items],
+                         nl, out)
+    elif isinstance(value, np.ndarray):
         if value.ndim == 2:
-            literal = matrix_to_literal(value)
-            if not np.isfinite(value).all():
-                literal["data"] = to_jsonable(literal["data"])
-            return literal
-        return [to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        value = value.item()
-    if isinstance(value, complex):
-        return {"re": to_jsonable(value.real), "im": to_jsonable(value.imag)}
-    if isinstance(value, Mapping):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # "nan", "inf", "-inf": JSON has no literal for them
-    return value
+            _write_json(matrix_to_literal(value), nl, out)
+        else:
+            _write_container("[]", [("", item) for item in value.tolist()], nl, out)
+    elif isinstance(value, (np.floating, np.integer, np.bool_)):
+        _write_json(value.item(), nl, out)
+    elif isinstance(value, complex):
+        _write_json({"re": value.real, "im": value.imag}, nl, out)
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def report_json_bytes(report, manifest: "RunManifest | None" = None) -> bytes:
-    """Deterministic JSON encoding of a report (optionally with its manifest)."""
-    payload: dict[str, Any] = {"report": to_jsonable(report)}
+    """Deterministic JSON encoding of a report (optionally with its manifest),
+    written in one pass over the report objects."""
+    payload: dict[str, Any] = {"report": report}
     if manifest is not None:
-        payload["manifest"] = to_jsonable(manifest)
-    return (json.dumps(payload, sort_keys=True, indent=2,
-                       separators=(",", ": ")) + "\n").encode("utf-8")
+        payload["manifest"] = manifest
+    parts: list[str] = []
+    _write_json(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts).encode("utf-8")
 
 
 def write_table(path, header: list[str], rows: list[list], fmt: str = "csv") -> None:

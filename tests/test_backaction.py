@@ -24,7 +24,8 @@ from qmeter import (
 )
 from qmeter import backaction
 from qmeter.backaction import WEIGHT_FLOOR
-from qmeter.operators import DEGENERACY_GAP
+from qmeter.operators import DEGENERACY_GAP, BosonicSpace
+from qmeter.scenarios import qnd_preset
 from qmeter.verify import random_hermitian, random_kraus_operator
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -374,6 +375,41 @@ def test_disturbance_cross_check_negative_control(observable, op, monkeypatch):
     monkeypatch.setattr(backaction, "disturbance_forms", offset_forms)
     with pytest.raises(InternalConsistencyError, match="disagree"):
         averaged_disturbance(op, observable)
+
+
+def quadrature_disturbance_closed_form(coeffs):
+    """Averaged disturbance of x = (a + a')/2 by M = diag(c), in O(d) and with
+    no eigendecomposition: ||[x, M]||_F^2 / tr{M'M}, where [x, M] has the
+    entries sqrt(n+1)/2 (c_{n+1} - c_n) next to the diagonal, so the value is
+    sum_n (n+1)/2 |c_{n+1} - c_n|^2 / sum_n |c_n|^2."""
+    c = np.asarray(coeffs)
+    n_plus_1 = np.arange(1, len(c))
+    return float(np.sum(n_plus_1 / 2.0 * np.abs(np.diff(c)) ** 2)
+                 / np.sum(np.abs(c) ** 2))
+
+
+def test_qnd_quadrature_disturbance_matches_closed_form():
+    # every outcome of the d=120 QND preset (sigma 5, grid -10..130)
+    x = named_observable("x", 120)
+    kraus = qnd_preset(BosonicSpace(120), 5.0, range(-10, 131))
+    assert len(kraus) == 141
+    for op in kraus.operators:
+        closed = quadrature_disturbance_closed_form(np.diag(op))
+        assert averaged_disturbance(op, x).value == pytest.approx(closed, rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(200, 260), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5, 0.9]))
+def test_diagonal_quadrature_disturbance_matches_closed_form(dim, seed, zero_share):
+    # random complex diagonal M, a share of its entries zeroed, on a bosonic
+    # space of at least 200 levels
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    coeffs = rng.uniform(0.0, 1.0, dim) * np.exp(2j * np.pi * rng.uniform(size=dim))
+    coeffs[rng.uniform(size=dim) < zero_share] = 0.0
+    coeffs[rng.integers(dim)] = 1.0
+    closed = quadrature_disturbance_closed_form(coeffs)
+    value = averaged_disturbance(np.diag(coeffs), named_observable("x", dim)).value
+    assert value == pytest.approx(closed, rel=1e-12)
 
 
 def random_unitary(dim, rng):

@@ -209,6 +209,10 @@ def partial_nan_kraus_file(tmp_path):
     *(["scenario", {"scenario": "classical_teleport", "dim": 8, "alpha": alpha}]
       for alpha in ([float("nan"), 0], "nan", True, [True, 0], [0.5])),
     *(["scenario", {"scenario": "photon", "dim": dim}] for dim in (1, 2.0, True, "3")),
+    *(["characterize", "--preset", "photon", "--dim", "3", *flags]
+      for flags in (["--sigma", "2"], ["--grid=0..3"], ["--sigma", "2", "--grid=0..3"])),
+    *(["scenario", {"scenario": "photon", "dim": 3, **fields}]
+      for fields in ({"pointer_sigma": 2}, {"outcome_grid": [0, 1, 2]})),
 ], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
         "qnd-grid-nan-flag", "scenario-name",
         "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan",
@@ -219,12 +223,26 @@ def partial_nan_kraus_file(tmp_path):
         "scenario-grid-string", "scenario-grid-nan", "scenario-grid-bool", "scenario-sigma-inf",
         "scenario-alpha-nan-pair", "scenario-alpha-nan-string", "scenario-alpha-bool",
         "scenario-alpha-bool-pair", "scenario-alpha-short-pair",
-        *(f"scenario-dim-{kind}" for kind in ("one", "float", "bool", "string"))])
+        *(f"scenario-dim-{kind}" for kind in ("one", "float", "bool", "string")),
+        "photon-sigma-flag", "photon-grid-flag", "photon-sigma-grid-flags",
+        "scenario-photon-sigma", "scenario-photon-grid"])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
     argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
             else a(tmp_path) if callable(a) else a for a in argv]
     assert main(argv) == 2
     assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["2", True, 1])
+def test_malformed_dim_is_named_before_observables(dim, tmp_path, capsys):
+    config = {"scenario": "eavesdrop", "dim": dim, "observables": {"A": "sz", "B": "sx"},
+              "kraus": {"dim": 2, "outcomes": [
+                  {"label": "0", "matrix": matrix_to_literal(np.diag([1.0, 0.0]))},
+                  {"label": "1", "matrix": matrix_to_literal(np.diag([0.0, 1.0]))}]}}
+    assert main(["scenario", write_json(tmp_path / "cfg.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: scenario config: dim must be" in err
+    assert "observable" not in err
 
 
 @pytest.mark.parametrize("argv", [

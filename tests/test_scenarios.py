@@ -401,7 +401,10 @@ class TestRunScenario:
         {"scenario": "qnd", "dim": 4, "pointer_sigma": 1.0, "outcome_grid": grid}
         for grid in ((0.0, float("nan")), (0.0, float("-inf")), (True,), ("1",), (1j,))] + [
         {"scenario": "classical_teleport", "dim": 4, "alpha": alpha}
-        for alpha in (complex(float("nan"), 0.0), float("inf"), True, "0.5")])
+        for alpha in (complex(float("nan"), 0.0), float("inf"), True, "0.5")] + [
+        {"scenario": scenario, "dim": 4, **pointer}
+        for scenario in ("photon", "classical_teleport")
+        for pointer in ({"pointer_sigma": 2.0}, {"outcome_grid": (0.0, 1.0)})])
     def test_preset_fields_validated(self, fields):
         with pytest.raises(ValueError):
             ScenarioConfig(**fields)

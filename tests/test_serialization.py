@@ -1,8 +1,16 @@
+import dataclasses
 import json
+import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qmeter import cli
 from qmeter import (
     KrausSet,
     SchemaError,
@@ -174,3 +182,111 @@ class TestReportSerialization:
             raise AssertionError(f"bare {token} in {text!r}")
 
         json.loads(text, parse_constant=reject)
+
+
+def to_jsonable(value):
+    """Reference converter: the report as plain JSON-ready dicts and lists."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            literal = matrix_to_literal(value)
+            if not np.isfinite(value).all():
+                literal["data"] = to_jsonable(literal["data"])
+            return literal
+        return [to_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        value = value.item()
+    if isinstance(value, complex):
+        return {"re": to_jsonable(value.real), "im": to_jsonable(value.imag)}
+    if isinstance(value, Mapping):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
+def oracle_json_bytes(report, manifest=None) -> bytes:
+    """The report bytes as json.dumps writes them from to_jsonable."""
+    payload = {"report": to_jsonable(report)}
+    if manifest is not None:
+        payload["manifest"] = to_jsonable(manifest)
+    return (json.dumps(payload, sort_keys=True, indent=2,
+                       separators=(",", ": ")) + "\n").encode("utf-8")
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    zeta: object
+    alpha: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Node:
+    items: tuple
+    child: object
+    label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class Empty:
+    pass
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1e22, -1e16, 0.1])
+SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
+           | st.text() | st.complex_numbers()
+           | FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | st.booleans().map(np.bool_)
+           | hnp.arrays(np.complex128, st.integers(0, 4))
+           | hnp.arrays(np.float64, st.integers(0, 4))
+           | hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                       min_side=0, max_side=3))
+           | st.builds(Empty))
+KEYS = st.text() | st.integers() | FLOATS | st.booleans() | st.none()
+VALUES = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=3).map(MappingProxyType)
+    | st.builds(Leaf, zeta=inner, alpha=FLOATS)
+    | st.builds(Node, items=st.lists(inner, max_size=3).map(tuple), child=inner,
+                label=st.text())), max_leaves=20)
+
+
+class TestReportBytes:
+    """report_json_bytes writes exactly what json.dumps wrote from to_jsonable."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(VALUES, st.none() | VALUES)
+    def test_matches_oracle(self, report, manifest):
+        assert report_json_bytes(report, manifest) == oracle_json_bytes(report, manifest)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), np.complex64(1.0), Leaf])
+    def test_unencodable_value_is_type_error(self, value):
+        with pytest.raises(TypeError):
+            report_json_bytes({"x": [value]})
+
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "--preset", "qnd", "--dim", "12", "--sigma", "3",
+         "--grid=-5..16", "--names", "n,x", "--pair", "n,x"],
+        ["verify", "--dims", "2..3", "--samples", "50"],
+    ], ids=["characterize-qnd", "verify"])
+    def test_cli_reports_match_oracle(self, argv, tmp_path, monkeypatch):
+        written = []
+
+        def recording(report, manifest=None):
+            data = report_json_bytes(report, manifest)
+            written.append((data, oracle_json_bytes(report, manifest)))
+            return data
+
+        monkeypatch.setattr(cli, "report_json_bytes", recording)
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        [(data, expected)] = written
+        assert b'"timestamp": "' in data
+        assert data == expected
+        assert [p.read_bytes() for p in tmp_path.glob("*.json")] == [data]
