@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     IncompleteKrausSet,
     InternalConsistencyError,
-    InvalidState,
     InvalidWeights,
     NonUnitState,
     NotHermitian,
@@ -44,7 +43,6 @@ from .errors import (
     UnknownObservable,
     UnknownOutcome,
     UnreachableOutcome,
-    ZeroProbabilityOutcome,
 )
 from .measurement import (
     CompletenessReport,
@@ -53,9 +51,6 @@ from .measurement import (
     PairCheck,
     RetrodictiveOperator,
     optimal_estimate,
-    outcome_probability,
-    post_measurement_state,
-    quadratic_error,
     resolution_pair_check,
     retrodictive_operator,
     validate_completeness,
@@ -80,7 +75,6 @@ from .scenarios import (
     TeleportationCharacterization,
     classical_teleportation_preset,
     cloning_error,
-    coherent_grid_completeness,
     eavesdrop_simulation,
     photon_detector_preset,
     qnd_preset,
@@ -88,7 +82,6 @@ from .scenarios import (
 )
 from .verify import (
     VerificationReport,
-    random_complete_kraus_set,
     random_hermitian,
     random_kraus_operator,
     run_verification_suite,

@@ -168,10 +168,6 @@ class DisturbanceReport:
     trace_form: float
     records: tuple[DisturbanceRecord, ...]
 
-    @property
-    def consistency_error(self) -> float:
-        return abs(self.value - self.trace_form)
-
 
 def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
                       total: float) -> tuple[float, float]:
@@ -296,8 +292,7 @@ class ResolutionDisturbanceCheck:
 
 
 def resolution_disturbance_check(operator, observable_a: HermitianObservable,
-                                 observable_b: HermitianObservable,
-                                 slack_tol: float = SLACK_TOL) -> ResolutionDisturbanceCheck:
+                                 observable_b: HermitianObservable) -> ResolutionDisturbanceCheck:
     """Check delta_A^2 * Delta_B^2 >= |tr{R_m [A, B]}|^2 / 4 for one outcome."""
     retro = retrodictive_operator(operator)
     require_same_dim(retro.matrix, observable_a.matrix, observable_b.matrix)
@@ -306,14 +301,14 @@ def resolution_disturbance_check(operator, observable_a: HermitianObservable,
     comm = commutator(observable_a.matrix, observable_b.matrix)
     return _resolution_disturbance_check(
         observable_a, observable_b, resolution, _commutator_bound(retro, comm),
-        finals, comm, slack_tol)
+        finals, comm)
 
 
 def _resolution_disturbance_check(observable_a: HermitianObservable,
                                   observable_b: HermitianObservable,
                                   resolution: float, bound: float,
-                                  finals: _FinalStatistics, comm: np.ndarray,
-                                  slack_tol: float) -> ResolutionDisturbanceCheck:
+                                  finals: _FinalStatistics,
+                                  comm: np.ndarray) -> ResolutionDisturbanceCheck:
     """The check from A's resolution, the outcome's |tr{R [A, B]}|^2 / 4 and
     B's final-result statistics; ``comm`` is [A, B]."""
     states = finals.states
@@ -329,7 +324,7 @@ def _resolution_disturbance_check(observable_a: HermitianObservable,
         observable_b=observable_b.name or "B",
         resolution=resolution, disturbance=disturbance,
         product=product, bound=bound, slack=float(slack),
-        satisfied=bool(slack >= -slack_tol),
+        satisfied=bool(slack >= -SLACK_TOL),
         averaged_bound=averaged_bound, chain_slack=float(chain_slack),
-        chain_ok=bool(chain_slack >= -slack_tol),
+        chain_ok=bool(chain_slack >= -SLACK_TOL),
     )

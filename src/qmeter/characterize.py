@@ -21,7 +21,6 @@ from .backaction import (
 from .errors import UnknownObservable, UnreachableOutcome
 from .measurement import (
     COMPLETENESS_TOL,
-    SLACK_TOL,
     CompletenessReport,
     KrausSet,
     PairCheck,
@@ -54,10 +53,6 @@ class PairRow:
     resolution_check: PairCheck
     disturbance_check: ResolutionDisturbanceCheck
 
-    @property
-    def satisfied(self) -> bool:
-        return self.resolution_check.satisfied and self.disturbance_check.satisfied
-
 
 @dataclass(frozen=True)
 class OutcomeCharacterization:
@@ -72,10 +67,6 @@ class CharacterizationReport:
     completeness: CompletenessReport
     declared_complete: bool
     outcomes: tuple[OutcomeCharacterization, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(p.satisfied for o in self.outcomes for p in o.pairs)
 
 
 def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable],
@@ -110,10 +101,9 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
                 var_a = estimates[a].error
                 pair_rows.append(PairRow(
                     observable_a=a, observable_b=b,
-                    resolution_check=_pair_check(obs_a, obs_b, var_a, estimates[b].error,
-                                                 bound, SLACK_TOL),
+                    resolution_check=_pair_check(obs_a, obs_b, var_a, estimates[b].error, bound),
                     disturbance_check=_resolution_disturbance_check(
-                        obs_a, obs_b, var_a, bound, finals[b], comm, SLACK_TOL),
+                        obs_a, obs_b, var_a, bound, finals[b], comm),
                 ))
             status = "ok"
         except UnreachableOutcome:

@@ -237,46 +237,61 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# Top-level keys of a scenario config file; "observables" holds A and B.
+CONFIG_KEYS = ("scenario", "dim", "trials", "seed", "observables", "kraus",
+               "pointer_sigma", "outcome_grid", "alpha", "states", "forwarding")
+
+
 def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
+    """Build a ScenarioConfig from the keys a config file sets; absent keys
+    keep their defaults, which is what lets ScenarioConfig reject the fields a
+    scenario does not read."""
     if not isinstance(obj, dict):
         raise SchemaError("scenario config: expected a JSON object")
     for key in ("scenario", "dim"):
         if key not in obj:
             raise SchemaError(f"scenario config: missing field {key!r}")
-    dim = obj["dim"]
-    kraus = None
-    if "kraus" in obj:
-        spec = obj["kraus"]
-        if isinstance(spec, dict) and "file" in spec:
-            kraus = load_kraus_set(spec["file"])
-        else:
-            kraus = kraus_set_from_dict(spec, "config.kraus")
+    unknown = [key for key in obj if key not in CONFIG_KEYS]
+    if unknown:
+        raise SchemaError(f"scenario config: unknown field {', '.join(map(repr, unknown))}")
     specs = obj.get("observables", {})
     if not isinstance(specs, dict):
         raise SchemaError("scenario config: observables must be an object")
-    states = tuple(matrix_literal_vector(v, f"config.states[{i}]")
-                   for i, v in enumerate(obj.get("states", [])))
-    alpha = obj.get("alpha", 0)
-    if isinstance(alpha, str):
-        alpha = parse_complex(alpha)
-    elif isinstance(alpha, list):
-        alpha = complex(complex_vector_from_pairs([alpha], "config.alpha")[0])
+    unknown = [key for key in specs if key not in ("A", "B")]
+    if unknown:
+        raise SchemaError(
+            f"scenario config: observables take A and B, got {', '.join(map(repr, unknown))}")
+    dim = obj["dim"]
+    fields = {key: obj[key] for key in ("trials", "seed", "pointer_sigma") if key in obj}
+    if seed_override is not None:
+        fields["seed"] = seed_override
+    if "kraus" in obj:
+        spec = obj["kraus"]
+        if isinstance(spec, dict) and "file" in spec:
+            fields["kraus"] = load_kraus_set(spec["file"])
+        else:
+            fields["kraus"] = kraus_set_from_dict(spec, "config.kraus")
+    if "states" in obj:
+        fields["states"] = tuple(matrix_literal_vector(v, f"config.states[{i}]")
+                                 for i, v in enumerate(obj["states"]))
+    if "alpha" in obj:
+        alpha = obj["alpha"]
+        if isinstance(alpha, str):
+            alpha = parse_complex(alpha)
+        elif isinstance(alpha, list):
+            alpha = complex(complex_vector_from_pairs([alpha], "config.alpha")[0])
+        fields["alpha"] = alpha
+    if "forwarding" in obj:
+        fields["forwarding"] = str(obj["forwarding"])
     with _config_fields("scenario config"):
         require_integer("dim", dim, minimum=2)
-        obs = {key: observable_from_spec(spec, dim, where=f"config.observables.{key}",
-                                         name=spec if isinstance(spec, str) else key)
-               for key, spec in specs.items() if key in ("A", "B")}
-        return ScenarioConfig(
-            scenario=str(obj["scenario"]), dim=dim,
-            trials=obj.get("trials", 1),
-            seed=obj.get("seed", 0) if seed_override is None else seed_override,
-            observable_a=obs.get("A"), observable_b=obs.get("B"), kraus=kraus,
-            pointer_sigma=obj.get("pointer_sigma"),
-            outcome_grid=tuple(obj.get("outcome_grid", [])),
-            alpha=alpha,
-            states=states,
-            forwarding=str(obj.get("forwarding", "resend")),
-        )
+        if "outcome_grid" in obj:
+            fields["outcome_grid"] = tuple(obj["outcome_grid"])
+        for key, spec in specs.items():
+            fields[f"observable_{key.lower()}"] = observable_from_spec(
+                spec, dim, where=f"config.observables.{key}",
+                name=spec if isinstance(spec, str) else key)
+        return ScenarioConfig(scenario=str(obj["scenario"]), dim=dim, **fields)
 
 
 def matrix_literal_vector(obj, where: str) -> np.ndarray:
@@ -352,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scenario = sub.add_parser("scenario", help="run a scenario config")
     p_scenario.add_argument("config")
-    p_scenario.add_argument("--seed", type=int, help="override the config's seed")
+    p_scenario.add_argument("--seed", type=int, help="override the config's seed (eavesdrop only)")
     add_out(p_scenario, tables=True)
     p_scenario.set_defaults(func=cmd_scenario)
     return parser

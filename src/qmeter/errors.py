@@ -29,14 +29,6 @@ class UnknownObservable(QmeterError):
     """Observable name not among the loaded or built-in observables."""
 
 
-class InvalidState(QmeterError):
-    """Density matrix is not unit-trace positive within tolerance."""
-
-
-class ZeroProbabilityOutcome(QmeterError):
-    """Conditioning on an outcome whose probability vanishes for this input."""
-
-
 class UnreachableOutcome(QmeterError):
     """tr{M'M} is numerically zero: the outcome never occurs, so nothing can
     be inferred from it."""

@@ -19,10 +19,8 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
-    InvalidState,
     UnknownOutcome,
     UnreachableOutcome,
-    ZeroProbabilityOutcome,
 )
 from .operators import (
     HermitianObservable,
@@ -42,10 +40,7 @@ UNREACHABLE_TRACE_FLOOR = 1e-14
 # negative means the computation itself went wrong.
 NEGATIVE_VARIANCE_FLOOR = -1e-12
 
-# Tolerances for accepting an input as a density matrix.
-STATE_TOL = 1e-9
-
-# Default slack tolerance when checking uncertainty products against bounds.
+# Slack tolerance when checking uncertainty products against bounds.
 SLACK_TOL = 1e-10
 
 
@@ -133,41 +128,6 @@ def validate_completeness(kraus: KrausSet, tol: float = COMPLETENESS_TOL) -> Com
                               passed=deviation <= tol)
 
 
-def _check_density(rho, dim: int) -> np.ndarray:
-    arr = require_square(as_complex_matrix(rho, "rho"), "rho")
-    if arr.shape[0] != dim:
-        raise DimensionMismatch(
-            f"state has dimension {arr.shape[0]}, measurement has {dim}")
-    if abs(np.trace(arr).real - 1.0) > STATE_TOL or abs(np.trace(arr).imag) > STATE_TOL:
-        raise InvalidState(f"state trace {np.trace(arr):.6g} is not 1")
-    if float(np.max(np.abs(arr - arr.conj().T))) > STATE_TOL:
-        raise InvalidState("state is not Hermitian")
-    min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
-    if min_eig < -STATE_TOL:
-        raise InvalidState(f"state has negative eigenvalue {min_eig:.3e}")
-    return arr
-
-
-def outcome_probability(kraus: KrausSet, rho, label: Hashable) -> float:
-    """tr{rho M'M} for the requested outcome."""
-    op = kraus.operator(label)
-    arr = _check_density(rho, kraus.dim)
-    return float(np.trace(arr @ op.conj().T @ op).real)
-
-
-def post_measurement_state(kraus: KrausSet, rho, label: Hashable) -> np.ndarray:
-    """State after outcome ``label``: M rho M' / p."""
-    op = kraus.operator(label)
-    arr = _check_density(rho, kraus.dim)
-    prob = float(np.trace(arr @ op.conj().T @ op).real)
-    if prob <= UNREACHABLE_TRACE_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {label!r} has probability {prob:.3e} for this input")
-    out = op @ arr @ op.conj().T / prob
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class RetrodictiveOperator:
     """Normalized M'M: what one outcome implies about an unknown eigenstate input.
@@ -177,7 +137,6 @@ class RetrodictiveOperator:
     """
 
     matrix: np.ndarray
-    source_outcome: Hashable = None
     total_weight: float = float("nan")
 
     @property
@@ -205,20 +164,18 @@ def norm_trace(operator: np.ndarray) -> float:
     return float(np.vdot(operator, operator).real)
 
 
-def retrodictive_operator(operator, source_outcome: Hashable = None,
-                          trace_floor: float = UNREACHABLE_TRACE_FLOOR) -> RetrodictiveOperator:
+def retrodictive_operator(operator) -> RetrodictiveOperator:
     """R = M'M / tr{M'M}; unit trace and positive by construction."""
     op = require_square(as_complex_matrix(operator, "M"), "M")
     weight = norm_trace(op)
-    if weight < trace_floor:
+    if weight < UNREACHABLE_TRACE_FLOOR:
         raise UnreachableOutcome(
-            f"tr{{M'M}} = {weight:.3e} is below {trace_floor:.1e}; the outcome "
+            f"tr{{M'M}} = {weight:.3e} is below {UNREACHABLE_TRACE_FLOOR:.1e}; the outcome "
             "never occurs and there is nothing to retrodict")
     gram = op.conj().T @ op
     matrix = (gram + gram.conj().T) / (2.0 * weight)
     matrix.setflags(write=False)
-    return RetrodictiveOperator(matrix=matrix, source_outcome=source_outcome,
-                                total_weight=weight)
+    return RetrodictiveOperator(matrix=matrix, total_weight=weight)
 
 
 @dataclass(frozen=True)
@@ -248,18 +205,6 @@ def _estimate(retro: RetrodictiveOperator, observable: HermitianObservable) -> E
     )
 
 
-def quadratic_error(operator, observable: HermitianObservable, assigned_value: float) -> float:
-    """Mean squared error of announcing ``assigned_value`` for this outcome.
-
-    Equals the optimal error plus the squared offset from the optimal
-    estimate, so it is minimized exactly at tr{A R}.
-    """
-    retro = retrodictive_operator(operator)
-    require_same_dim(retro.matrix, observable.matrix)
-    shifted = observable.matrix - float(assigned_value) * np.eye(retro.dim)
-    return clamp_variance(float(np.trace(shifted @ retro.matrix @ shifted).real))
-
-
 @dataclass(frozen=True)
 class PairCheck:
     """Joint-resolution uncertainty product for two observables on one outcome."""
@@ -275,8 +220,7 @@ class PairCheck:
 
 
 def resolution_pair_check(operator, observable_a: HermitianObservable,
-                          observable_b: HermitianObservable,
-                          slack_tol: float = SLACK_TOL) -> PairCheck:
+                          observable_b: HermitianObservable) -> PairCheck:
     """Check delta_A^2 * delta_B^2 >= |tr{R [A, B]}|^2 / 4 for one outcome."""
     retro = retrodictive_operator(operator)
     require_same_dim(retro.matrix, observable_a.matrix, observable_b.matrix)
@@ -284,7 +228,7 @@ def resolution_pair_check(operator, observable_a: HermitianObservable,
     var_b = retro.variance(observable_b)
     comm = commutator(observable_a.matrix, observable_b.matrix)
     return _pair_check(observable_a, observable_b, var_a, var_b,
-                       _commutator_bound(retro, comm), slack_tol)
+                       _commutator_bound(retro, comm))
 
 
 def _commutator_bound(retro: RetrodictiveOperator, comm: np.ndarray) -> float:
@@ -293,12 +237,12 @@ def _commutator_bound(retro: RetrodictiveOperator, comm: np.ndarray) -> float:
 
 
 def _pair_check(observable_a: HermitianObservable, observable_b: HermitianObservable,
-                var_a: float, var_b: float, bound: float, slack_tol: float) -> PairCheck:
+                var_a: float, var_b: float, bound: float) -> PairCheck:
     product = var_a * var_b
     slack = product - bound
     return PairCheck(
         observable_a=observable_a.name or "A",
         observable_b=observable_b.name or "B",
         var_a=var_a, var_b=var_b, product=product, bound=bound,
-        slack=float(slack), satisfied=bool(slack >= -slack_tol),
+        slack=float(slack), satisfied=bool(slack >= -SLACK_TOL),
     )

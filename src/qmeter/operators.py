@@ -87,59 +87,39 @@ class HermitianObservable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalue_groups(self, gap: float = DEGENERACY_GAP) -> list[tuple[float, np.ndarray]]:
-        """Eigen-indices grouped by (near-)degenerate eigenvalue.
-
-        Returns ``[(value, indices), ...]`` ascending, where ``value`` is the
-        group mean. Adjacent eigenvalues closer than
-        ``gap * max(1, spectral radius)`` fall into the same group.
-        """
-        vals = self.eigenvalues
-        threshold = gap * max(1.0, float(np.max(np.abs(vals))))
-        groups: list[tuple[float, np.ndarray]] = []
-        start = 0
-        for k in range(1, len(vals) + 1):
-            if k == len(vals) or vals[k] - vals[k - 1] > threshold:
-                idx = np.arange(start, k)
-                groups.append((float(np.mean(vals[start:k])), idx))
-                start = k
-        return groups
-
     @cached_property
     def group_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigenvalue_groups()`` as arrays, computed once per observable.
+        """Eigen-indices grouped by (near-)degenerate eigenvalue, computed once
+        per observable.
 
-        Returns ``(values, index)``: the ascending group means, and for each
-        eigen-index the position of its group in ``values``.
+        Adjacent eigenvalues closer than ``DEGENERACY_GAP * max(1, spectral
+        radius)`` fall into the same group. Returns ``(values, index)``: the
+        ascending group means, and for each eigen-index the position of its
+        group in ``values``.
         """
-        groups = self.eigenvalue_groups()
-        values = np.array([value for value, _ in groups])
-        index = np.concatenate([np.full(len(idx), g) for g, (_, idx) in enumerate(groups)])
+        vals = self.eigenvalues
+        threshold = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
+        breaks = np.diff(vals) > threshold
+        index = np.concatenate(([0], np.cumsum(breaks)))
+        values = np.array([group.mean() for group in np.split(vals, np.flatnonzero(breaks) + 1)])
         values.setflags(write=False)
         index.setflags(write=False)
         return values, index
 
-    def projector(self, indices) -> np.ndarray:
-        """Orthogonal projector onto the span of the chosen eigenvectors."""
-        v = self.eigenvectors[:, indices]
-        if v.ndim == 1:
-            v = v[:, None]
-        return v @ v.conj().T
 
-
-def eigendecompose(matrix, tol: float = HERMITICITY_TOL,
-                   name: str | None = None) -> HermitianObservable:
+def eigendecompose(matrix, name: str | None = None) -> HermitianObservable:
     """Spectral decomposition of a Hermitian matrix.
 
     Eigenvalues come back ascending; ties keep the order the decomposition
-    produced. Raises NotHermitian when ``max|M - M'|`` exceeds ``tol`` and
-    DecompositionFailure when the iteration does not converge.
+    produced. Raises NotHermitian when ``max|M - M'|`` exceeds
+    ``HERMITICITY_TOL`` and DecompositionFailure when the iteration does not
+    converge.
     """
     m = require_square(as_complex_matrix(matrix))
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}")
+            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
     try:
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -200,14 +180,13 @@ class CoherentState(NamedTuple):
     tail_mass: float
 
 
-def coherent_state(alpha: complex, space: BosonicSpace,
-                   tail_tol: float = COHERENT_TAIL_TOL) -> CoherentState:
+def coherent_state(alpha: complex, space: BosonicSpace) -> CoherentState:
     """Truncated, renormalized coherent state.
 
     Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n below the
     truncation, then renormalized. ``tail_mass`` is the probability the
-    truncation discarded (before renormalization); if it exceeds ``tail_tol``
-    a TruncationError is raised.
+    truncation discarded (before renormalization); if it exceeds
+    ``COHERENT_TAIL_TOL`` a TruncationError is raised.
     """
     alpha = complex(alpha)
     n = space.levels
@@ -217,10 +196,10 @@ def coherent_state(alpha: complex, space: BosonicSpace,
         amps[k] = amps[k - 1] * alpha / math.sqrt(k)
     kept = float(np.sum(np.abs(amps) ** 2))
     tail = max(0.0, 1.0 - kept)
-    if tail > tail_tol:
+    if tail > COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} loses {tail:.3e} "
-            f"probability at {n} levels (tolerance {tail_tol:.1e})")
+            f"probability at {n} levels (tolerance {COHERENT_TAIL_TOL:.1e})")
     vec = amps / math.sqrt(kept)
     vec.setflags(write=False)
     return CoherentState(vector=vec, tail_mass=tail)

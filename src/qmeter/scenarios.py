@@ -21,6 +21,7 @@ row-wise gather, so counts and sums are unchanged to the last bit.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ from .measurement import (
 )
 from .operators import (
     BosonicSpace,
-    COHERENT_TAIL_TOL,
     HermitianObservable,
     bosonic_operators,
     coherent_state,
@@ -58,15 +58,15 @@ TRIAL_BLOCK = 4096
 # Seeds key numpy's Philox generator, whose keys are 128-bit unsigned integers.
 SEED_LIMIT = 1 << 128
 
-# Every scenario name with the config fields it cannot run without. The
-# pointer fields are read by the scenarios that list them and by no other.
-POINTER_FIELDS = ("pointer_sigma", "outcome_grid")
+# The config fields each scenario reads besides ``scenario`` and ``dim``, as
+# (required, optional). ScenarioConfig rejects a field that is missing from
+# the first group and any other field that is not at its default.
 SCENARIOS = {
-    "photon": (),
-    "qnd": POINTER_FIELDS,
-    "classical_teleport": (),
-    "eavesdrop": ("kraus", "observable_a", "observable_b"),
-    "cloning": ("observable_a", "states"),
+    "photon": ((), ("observable_a", "observable_b")),
+    "qnd": (("pointer_sigma", "outcome_grid"), ("observable_a", "observable_b")),
+    "classical_teleport": ((), ("alpha",)),
+    "eavesdrop": (("kraus", "observable_a", "observable_b"), ("trials", "seed", "forwarding")),
+    "cloning": (("observable_a", "states"), ()),
 }
 
 
@@ -123,16 +123,15 @@ class TeleportationCharacterization:
     tail_mass: float
 
 
-def classical_teleportation_preset(alpha: complex, space: BosonicSpace,
-                                   tail_tol: float = COHERENT_TAIL_TOL,
-                                   ) -> TeleportationCharacterization:
+def classical_teleportation_preset(alpha: complex,
+                                   space: BosonicSpace) -> TeleportationCharacterization:
     """Characterize the measure-and-prepare operator |alpha><alpha| / sqrt(pi).
 
     Reports the quadrature estimates and their resolutions and disturbances.
     The prefactor drops out of every reported quantity; it only sets the
     outcome density over the alpha plane.
     """
-    state = coherent_state(alpha, space, tail_tol)
+    state = coherent_state(alpha, space)
     op = np.outer(state.vector, state.vector.conj()) / math.sqrt(math.pi)
     ops = bosonic_operators(space)
     quad_x = eigendecompose(ops.x, name="x")
@@ -150,42 +149,6 @@ def classical_teleportation_preset(alpha: complex, space: BosonicSpace,
     )
 
 
-def coherent_grid_completeness(space: BosonicSpace, half_width: float,
-                               spacing: float, check_levels: int | None = None) -> dict:
-    """Approximate completeness of a square grid of coherent projections.
-
-    Sums spacing^2/pi |alpha><alpha| over the grid (raw truncated amplitudes,
-    no renormalization) and reports the max deviation from the identity over
-    the lowest ``check_levels`` Fock levels. The continuum family resolves the
-    identity exactly; a finite grid on a truncated space only approximates it.
-    """
-    if spacing <= 0.0 or half_width <= 0.0:
-        raise ValueError("spacing and half_width must be positive")
-    n = space.levels
-    levels = min(n, check_levels if check_levels is not None else n // 2)
-    axis = np.arange(-half_width, half_width + spacing / 2.0, spacing)
-    total = np.zeros((n, n), dtype=np.complex128)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n)))))
-    for re in axis:
-        for im in axis:
-            alpha = complex(re, im)
-            if alpha == 0.0:
-                amps = np.zeros(n, dtype=np.complex128)
-                amps[0] = 1.0
-            else:
-                mag = abs(alpha)
-                phase = alpha / mag
-                amps = np.exp(-mag ** 2 / 2.0 + np.arange(n) * np.log(mag)
-                              - 0.5 * log_fact) * phase ** np.arange(n)
-            total += spacing ** 2 / math.pi * np.outer(amps, amps.conj())
-    block = total[:levels, :levels] - np.eye(levels)
-    return {
-        "grid_points": int(len(axis) ** 2),
-        "checked_levels": int(levels),
-        "max_deviation": float(np.max(np.abs(block))),
-    }
-
-
 def require_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) and, when
     ``minimum`` is given, at least ``minimum``."""
@@ -195,8 +158,14 @@ def require_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
-def _unset(value) -> bool:
-    return value is None or (isinstance(value, tuple) and not value)  # no == on numpy values
+def _at_default(value, default) -> bool:
+    """Whether a config field holds its default: None by identity, the empty
+    tuple by type and length, and scalars by ``==``, never on numpy arrays."""
+    if default is None:
+        return value is None
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and not value
+    return not isinstance(value, np.ndarray) and value == default
 
 
 def _finite(value, kind) -> bool:
@@ -208,8 +177,9 @@ def _finite(value, kind) -> bool:
 class ScenarioConfig:
     """Configuration shared by every scenario runner.
 
-    Only the fields a given scenario needs have to be set; the CLI fills this
-    in from a config file or from the flags of ``characterize --preset``.
+    A scenario reads only the fields its ``SCENARIOS`` entry lists, and every
+    other field must stay at its default. The CLI fills this in from a config
+    file or from the flags of ``characterize --preset``.
     """
 
     scenario: str
@@ -231,11 +201,14 @@ class ScenarioConfig:
         require_integer("dim", self.dim, minimum=2)
         require_integer("trials", self.trials, minimum=1)
         require_integer("seed", self.seed)
-        fields = SCENARIOS[self.scenario]
-        missing = [f for f in fields if _unset(getattr(self, f))]
+        required, optional = SCENARIOS[self.scenario]
+        unset = {f.name: _at_default(getattr(self, f.name), f.default)
+                 for f in dataclasses.fields(self) if f.name not in ("scenario", "dim")}
+        missing = [name for name in required if unset[name]]
         if missing:
             raise ValueError(f"{self.scenario} scenario needs {', '.join(missing)}")
-        unread = [f for f in POINTER_FIELDS if f not in fields and not _unset(getattr(self, f))]
+        unread = [name for name, is_unset in unset.items()
+                  if not is_unset and name not in required + optional]
         if unread:
             raise ValueError(f"{self.scenario} scenario does not read {', '.join(unread)}")
         if not 0 <= self.seed < SEED_LIMIT:
@@ -379,8 +352,6 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     With ``forwarding="reprepare"`` the eavesdropper sends the retrodicted
     input mixture for its outcome instead of the collapsed state.
     """
-    if config.kraus is None or config.observable_a is None or config.observable_b is None:
-        raise ValueError("eavesdropping needs a Kraus set and two observables")
     report = validate_completeness(config.kraus, COMPLETENESS_TOL)
     if not config.kraus.complete or not report.passed:
         raise IncompleteKrausSet(

@@ -2,7 +2,7 @@
 
 The matrix literal is ``{"rows": R, "cols": C, "data": [[re, im], ...]}`` in
 row-major order; floats serialize via their shortest round-tripping decimal
-form, so save/load round-trips are entrywise exact.
+form, so literal round-trips are entrywise exact.
 
 Reports are written in one pass over the report objects, as string pieces
 joined once. The bytes are those ``json.dumps(..., sort_keys=True, indent=2,
@@ -37,6 +37,7 @@ from .scenarios import (
     EavesdropReport,
     ScenarioReport,
     TeleportationCharacterization,
+    require_integer,
 )
 
 
@@ -62,6 +63,14 @@ def complex_vector_from_pairs(pairs: list, where: str) -> np.ndarray:
     return out
 
 
+def _require_count(where: str, name: str, value) -> None:
+    """A positive integer field of a matrix literal or Kraus set, as an input error."""
+    try:
+        require_integer(name, value, minimum=1)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -69,8 +78,8 @@ def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise SchemaError(f"{where}: missing field {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
-        raise SchemaError(f"{where}: rows/cols must be positive integers")
+    _require_count(where, "rows", rows)
+    _require_count(where, "cols", cols)
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(
@@ -81,23 +90,14 @@ def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
     return out
 
 
-def kraus_set_to_dict(kraus: KrausSet) -> dict:
-    return {
-        "dim": kraus.dim,
-        "outcomes": [
-            {"label": str(label), "matrix": matrix_to_literal(op)}
-            for label, op in kraus.items()
-        ],
-        "complete": kraus.complete,
-    }
-
-
 def kraus_set_from_dict(obj, where: str = "kraus") -> KrausSet:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object")
     if "outcomes" not in obj or not isinstance(obj["outcomes"], list) or not obj["outcomes"]:
         raise SchemaError(f"{where}.outcomes: expected a non-empty list")
     dim = obj.get("dim")
+    if dim is not None:
+        _require_count(where, "dim", dim)
     operators = []
     labels = []
     for i, entry in enumerate(obj["outcomes"]):
@@ -126,11 +126,6 @@ def load_json(path) -> Any:
 
 def load_kraus_set(path) -> KrausSet:
     return kraus_set_from_dict(load_json(path), where=str(path))
-
-
-def save_kraus_set(kraus: KrausSet, path) -> None:
-    Path(path).write_text(json.dumps(kraus_set_to_dict(kraus), indent=2,
-                                     sort_keys=True) + "\n", encoding="utf-8")
 
 
 def observable_from_spec(spec, dim: int, name: str | None = None,

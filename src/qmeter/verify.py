@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backaction import disturbance_forms, sequence_statistics
-from .measurement import KrausSet, retrodictive_operator
+from .measurement import retrodictive_operator
 from .operators import HermitianObservable, commutator, eigendecompose
 
 RELATION_NAMES = (
@@ -62,23 +62,6 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_kraus_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
         / np.sqrt(2.0 * dim)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_complete_kraus_set(dim: int, n_outcomes: int,
-                              rng: np.random.Generator) -> KrausSet:
-    """Random complete set: Ginibre blocks whitened by their summed Gram matrix."""
-    blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-              for _ in range(n_outcomes)]
-    gram = sum(b.conj().T @ b for b in blocks)
-    vals, vecs = np.linalg.eigh(gram)
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.conj().T
-    return KrausSet(operators=tuple(b @ inv_sqrt for b in blocks), complete=True)
 
 
 @dataclass

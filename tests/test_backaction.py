@@ -3,9 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import eigenvalue_groups
 from qmeter import (
     DimensionMismatch,
     InternalConsistencyError,
@@ -163,7 +164,7 @@ class TestAveragedDisturbance:
     def test_photon_absorber(self):
         report = averaged_disturbance(ABSORB, N2)
         assert report.value == pytest.approx(1.0, abs=1e-15)
-        assert report.consistency_error < 1e-12
+        assert abs(report.value - report.trace_form) < 1e-12
 
     def test_projector_vs_sx_four_terms(self):
         # oracle: the four-term double sum with hand eigenvectors of sx
@@ -346,7 +347,7 @@ def test_disturbance_cross_check_survives_large_spectra():
     big = eigendecompose(np.diag(np.arange(60.0) ** 1.5), name="big")
     for _ in range(10):
         report = averaged_disturbance(random_kraus_operator(60, rng), big)
-        assert report.consistency_error <= 1e-10 * max(1.0, report.value)
+        assert abs(report.value - report.trace_form) <= 1e-10 * max(1.0, report.value)
 
 
 LARGE_DEGENERATE = eigendecompose(np.diag([3000.0, 3000.0, 3000.0, 0.0, 1.0, 2.0]))
@@ -440,7 +441,7 @@ def scalar_reference(m, obs_a, obs_b):
     comm = commutator(obs_a.matrix, obs_b.matrix)
     seqs = {s.joint.eigen_index: s for s in sequence_statistics(m, obs_a, obs_b, comm)}
     records = []
-    for value, indices in obs_b.eigenvalue_groups():
+    for value, indices in eigenvalue_groups(obs_b):
         members = [seqs[i] for i in indices if i in seqs]
         if not members:
             continue
@@ -453,13 +454,26 @@ def scalar_reference(m, obs_a, obs_b):
     return records, 0.25 * averaged_abs ** 2
 
 
+# A final result of weight w has the state M'|B_f> / sqrt(w tr{M'M}), so the
+# kernel and the scalar path each carry relative rounding of order eps/sqrt(w)
+# in it: about d eps for a d-dimensional product, and d <= 40 here.
+ROUNDING_UNITS = 64.0
+
+
+def record_tolerance(weight):
+    """Relative tolerance on a record of the given weight: 1e-9, or the
+    rounding bound ROUNDING_UNITS * eps / sqrt(weight) where that is larger."""
+    return max(1e-9, ROUNDING_UNITS * np.finfo(np.float64).eps / math.sqrt(weight))
+
+
 def assert_matches_scalar_path(m, obs_a, obs_b):
     scale_a, scale_b = (max(1.0, float(np.max(np.abs(o.eigenvalues)))) for o in (obs_a, obs_b))
-    close = dict(rel=1e-9, abs=1e-9 * scale_b ** 2)
     records, averaged_bound = scalar_reference(m, obs_a, obs_b)
     report = averaged_disturbance(m, obs_b)
     assert [r.final_value for r in report.records] == [r[0] for r in records]
     for got, (_, weight, random, systematic) in zip(report.records, records):
+        tol = record_tolerance(weight)
+        close = dict(rel=tol, abs=tol * scale_b ** 2)
         assert got.weight == pytest.approx(weight, rel=1e-9, abs=1e-15)
         assert got.random == pytest.approx(random, **close)
         assert got.systematic == pytest.approx(systematic, **close)
@@ -481,6 +495,7 @@ def test_final_result_kernel_matches_scalar_path(dim, seed, ramp):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
+@example(dim=3, seed=3456986)  # relative gap 1.5e-9 at twice the floor
 def test_final_results_at_the_weight_floor(dim, seed):
     # M = V diag(c) W' sends final result f to weight c_f^2 / sum c^2; one
     # final result sits at twice the floor and one at half of it.

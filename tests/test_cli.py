@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import kraus_set_to_dict, save_kraus_set
 from qmeter.cli import main, parse_complex, parse_dims, parse_grid
 from qmeter.errors import SchemaError
-from qmeter.serialization import kraus_set_to_dict, matrix_to_literal, save_kraus_set
+from qmeter.serialization import matrix_to_literal
 from qmeter.measurement import KrausSet
 
 
@@ -177,6 +178,14 @@ def partial_nan_kraus_file(tmp_path):
                        "outcomes": [{"label": "0", "matrix": literal}]})
 
 
+EAVESDROP = {"scenario": "eavesdrop", "dim": 2, "observables": {"A": "sz", "B": "sx"},
+             "kraus": {"dim": 2, "outcomes": [
+                 {"label": "0", "matrix": matrix_to_literal(np.diag([1.0, 0.0]))},
+                 {"label": "1", "matrix": matrix_to_literal(np.diag([0.0, 1.0]))}]}}
+QND = {"scenario": "qnd", "dim": 6, "pointer_sigma": 2, "outcome_grid": [0, 1, 2, 3, 4, 5]}
+IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_literal(np.eye(2))}]}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--dims", "abc"],
     ["verify", "--dims", "0..2"],
@@ -197,11 +206,11 @@ def partial_nan_kraus_file(tmp_path):
     ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"},
                   "states": [[[1.0, 0.0]]]}],
     ["scenario", {"scenario": "photon", "dim": 3, "observables": {"A": "sz"}}],
-    *(["scenario", {"scenario": "photon", "dim": 3, field: value}]
+    *(["scenario", {**EAVESDROP, field: value}]
       for field in ("trials", "seed") for value in (1.5, 2.0, True, "3")),
-    ["scenario", {"scenario": "photon", "dim": 3, "seed": -1}],
-    ["scenario", {"scenario": "photon", "dim": 3, "seed": 2 ** 128}],
-    ["scenario", {"scenario": "photon", "dim": 3}, "--seed", str(2 ** 128)],
+    ["scenario", {**EAVESDROP, "seed": -1}],
+    ["scenario", {**EAVESDROP, "seed": 2 ** 128}],
+    ["scenario", EAVESDROP, "--seed", str(2 ** 128)],
     *(["scenario", {"scenario": "qnd", "dim": 6, "pointer_sigma": 2, "outcome_grid": grid}]
       for grid in ([0, "a", 3], [0, float("nan"), 3], [0, True, 3])),
     ["scenario", {"scenario": "qnd", "dim": 6, "pointer_sigma": float("inf"),
@@ -213,6 +222,17 @@ def partial_nan_kraus_file(tmp_path):
       for flags in (["--sigma", "2"], ["--grid=0..3"], ["--sigma", "2", "--grid=0..3"])),
     *(["scenario", {"scenario": "photon", "dim": 3, **fields}]
       for fields in ({"pointer_sigma": 2}, {"outcome_grid": [0, 1, 2]})),
+    ["scenario", {"scenario": "photon", "dim": 3, "alpha": "0.5", "forwarding": "reprepare",
+                  "trials": 7}],
+    ["scenario", {**QND, "seed": 5}],
+    ["scenario", QND, "--seed", "5"],
+    ["scenario", {**EAVESDROP, "trails": 100000}],
+    ["scenario", {**EAVESDROP, "observables": {"A": "sz", "B": "sx", "C": "sy"}}],
+    ["validate", {"dim": 2, "outcomes": [
+        {"label": "0", "matrix": {"rows": True, "cols": 2, "data": [[1, 0], [0, 0]]}}]}],
+    ["validate", {**IDENTITY_SET, "dim": 2.0}],
+    ["validate", {"dim": True, "outcomes": [
+        {"label": "0", "matrix": {"rows": 1, "cols": 1, "data": [[1, 0]]}}]}],
 ], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
         "qnd-grid-nan-flag", "scenario-name",
         "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan",
@@ -225,7 +245,10 @@ def partial_nan_kraus_file(tmp_path):
         "scenario-alpha-bool-pair", "scenario-alpha-short-pair",
         *(f"scenario-dim-{kind}" for kind in ("one", "float", "bool", "string")),
         "photon-sigma-flag", "photon-grid-flag", "photon-sigma-grid-flags",
-        "scenario-photon-sigma", "scenario-photon-grid"])
+        "scenario-photon-sigma", "scenario-photon-grid", "scenario-photon-unread-fields",
+        "scenario-qnd-seed", "scenario-qnd-seed-flag", "scenario-unknown-field",
+        "scenario-unknown-observable-key", "validate-rows-bool", "validate-dim-float",
+        "validate-dim-bool"])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
     argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
             else a(tmp_path) if callable(a) else a for a in argv]
@@ -235,10 +258,7 @@ def test_bad_input_is_input_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("dim", ["2", True, 1])
 def test_malformed_dim_is_named_before_observables(dim, tmp_path, capsys):
-    config = {"scenario": "eavesdrop", "dim": dim, "observables": {"A": "sz", "B": "sx"},
-              "kraus": {"dim": 2, "outcomes": [
-                  {"label": "0", "matrix": matrix_to_literal(np.diag([1.0, 0.0]))},
-                  {"label": "1", "matrix": matrix_to_literal(np.diag([0.0, 1.0]))}]}}
+    config = {**EAVESDROP, "dim": dim}
     assert main(["scenario", write_json(tmp_path / "cfg.json", config)]) == 2
     err = capsys.readouterr().err
     assert "input error: scenario config: dim must be" in err

@@ -3,24 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from qmeter import (
-    DimensionMismatch,
+from oracles import (
     InvalidState,
-    KrausSet,
-    UnknownOutcome,
-    UnreachableOutcome,
     ZeroProbabilityOutcome,
-    eigendecompose,
-    named_observable,
-    optimal_estimate,
     outcome_probability,
     post_measurement_state,
     quadratic_error,
+    random_complete_kraus_set,
+    random_density,
+)
+from qmeter import (
+    DimensionMismatch,
+    KrausSet,
+    UnknownOutcome,
+    UnreachableOutcome,
+    eigendecompose,
+    named_observable,
+    optimal_estimate,
     resolution_pair_check,
     retrodictive_operator,
     validate_completeness,
 )
-from qmeter.verify import random_complete_kraus_set, random_density, random_hermitian, random_kraus_operator
+from qmeter.verify import random_hermitian, random_kraus_operator
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)

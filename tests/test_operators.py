@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eigenvalue_groups
 from qmeter import (
     BosonicSpace,
     DimensionMismatch,
+    HermitianObservable,
     NotHermitian,
     TruncationError,
     UnknownObservable,
@@ -17,7 +19,8 @@ from qmeter import (
     eigendecompose,
     named_observable,
 )
-from qmeter.operators import lowering_operator
+from qmeter import operators
+from qmeter.operators import DEGENERACY_GAP, lowering_operator
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,11 +89,36 @@ class TestEigendecompose:
 
     def test_eigenvalue_groups_degenerate(self):
         obs = eigendecompose(np.diag([1.0, 1.0, 2.0, 3.0, 3.0]))
-        groups = obs.eigenvalue_groups()
+        values, index = obs.group_table
+        assert values.tolist() == [1.0, 2.0, 3.0]
+        assert index.tolist() == [0, 0, 1, 2, 2]
+        groups = eigenvalue_groups(obs)
         assert [v for v, _ in groups] == [1.0, 2.0, 3.0]
         assert [len(idx) for _, idx in groups] == [2, 1, 2]
-        proj = obs.projector(groups[0][1])
-        assert np.allclose(proj, np.diag([1, 1, 0, 0, 0]), atol=1e-12)
+        vecs = obs.eigenvectors[:, groups[0][1]]
+        assert np.allclose(vecs @ vecs.conj().T, np.diag([1, 1, 0, 0, 0]), atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12),
+                          st.sampled_from([0.0, 0.3, 0.9, 1.1, 3.0])),
+                min_size=1, max_size=10),
+       st.floats(-3.0, 3.0))
+def test_group_table_matches_grouping_loop(clusters, log_scale):
+    # clusters of up to 12 eigenvalues whose steps sit below, near and above
+    # the degeneracy threshold, so groups chain, split and exceed numpy's
+    # 8-element summation block
+    scale = 10.0 ** log_scale
+    threshold = DEGENERACY_GAP * max(1.0, scale * 41.0)
+    vals = np.sort(np.concatenate([scale * centre + step * threshold * np.arange(size)
+                                   for centre, size, step in clusters]))
+    obs = HermitianObservable(matrix=np.diag(vals).astype(complex), eigenvalues=vals,
+                              eigenvectors=np.eye(len(vals), dtype=complex))
+    values, index = obs.group_table
+    groups = eigenvalue_groups(obs)
+    assert np.array_equal(values, [value for value, _ in groups])
+    assert np.array_equal(index, np.concatenate([np.full(len(idx), g)
+                                                 for g, (_, idx) in enumerate(groups)]))
 
 
 class TestCommutator:
@@ -159,12 +187,13 @@ class TestCoherentState:
         assert state.tail_mass == 0.0
         assert np.allclose(state.vector, [1, 0, 0, 0])
 
-    def test_tail_against_poisson_oracle(self):
+    def test_tail_against_poisson_oracle(self, monkeypatch):
         state = coherent_state(1.0, BosonicSpace(30))
         assert state.tail_mass < 1e-12
         assert poisson_tail(1.0, 30) < 1e-12
-        # a case with a real tail: both computations must agree
-        state = coherent_state(2.0, BosonicSpace(6), tail_tol=1.0)
+        # a case with a real tail, let through the guard: both computations must agree
+        monkeypatch.setattr(operators, "COHERENT_TAIL_TOL", 1.0)
+        state = coherent_state(2.0, BosonicSpace(6))
         assert state.tail_mass == pytest.approx(poisson_tail(4.0, 6), abs=1e-12)
 
     def test_mean_photon_number(self):

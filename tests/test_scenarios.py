@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import coherent_grid_completeness, random_complete_kraus_set
 from qmeter import (
     BosonicSpace,
     CompletenessUnachievable,
@@ -13,7 +14,6 @@ from qmeter import (
     TruncationError,
     classical_teleportation_preset,
     cloning_error,
-    coherent_grid_completeness,
     eavesdrop_simulation,
     eigendecompose,
     named_observable,
@@ -27,7 +27,6 @@ from qmeter import (
 )
 from qmeter import scenarios
 from qmeter.serialization import report_json_bytes
-from qmeter.verify import random_complete_kraus_set
 
 SZ = named_observable("sz")
 SX = named_observable("sx")
@@ -411,10 +410,70 @@ class TestRunScenario:
 
     def test_numpy_preset_fields_accepted(self):
         config = ScenarioConfig(scenario="qnd", dim=4, pointer_sigma=np.float64(2.0),
-                                outcome_grid=tuple(np.arange(-2.0, 6.0)),
-                                alpha=np.complex128(0.5 + 0.25j))
+                                outcome_grid=tuple(np.arange(-2.0, 6.0)))
         assert len(scenarios.preset_kraus(config)) == 8
+        teleport = ScenarioConfig(scenario="classical_teleport", dim=40,
+                                  alpha=np.complex128(0.5 + 0.25j))
+        assert run_scenario(teleport).body.alpha == 0.5 + 0.25j
 
     def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(scenario="photon", dim=2, trials=0)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            ScenarioConfig(scenario="eavesdrop", dim=2, trials=0, observable_a=SZ,
+                           observable_b=SX, kraus=projective_set(SZ))
+
+
+# The config fields each scenario reads, written out here rather than taken
+# from scenarios.SCENARIOS; a scenario must reject every other field that is
+# not at its default.
+READS = {
+    "photon": ("dim", "observable_a", "observable_b"),
+    "qnd": ("dim", "pointer_sigma", "outcome_grid", "observable_a", "observable_b"),
+    "classical_teleport": ("dim", "alpha"),
+    "eavesdrop": ("dim", "trials", "seed", "kraus", "observable_a", "observable_b",
+                  "forwarding"),
+    "cloning": ("dim", "states", "observable_a"),
+}
+CONFIG_FIELDS = ("dim", "trials", "seed", "observable_a", "observable_b", "kraus",
+                 "pointer_sigma", "outcome_grid", "alpha", "states", "forwarding")
+
+
+def non_default_field(field, dim):
+    """A valid value, other than the default, for one config field at ``dim``."""
+    ramp = np.diag(np.arange(dim, dtype=float))
+    return {
+        "dim": dim,
+        "trials": 7,
+        "seed": 5,
+        "observable_a": eigendecompose(ramp, name="A"),
+        "observable_b": eigendecompose(ramp, name="B"),
+        "kraus": KrausSet(operators=(np.eye(dim, dtype=complex),)),
+        "pointer_sigma": 2.0,
+        "outcome_grid": (0.0, 1.0, 2.0),
+        "alpha": 0.5 + 0.25j,
+        "states": (np.eye(dim, dtype=complex)[0],),
+        "forwarding": "reprepare",
+    }[field]
+
+
+REQUIRED = {"qnd": ("pointer_sigma", "outcome_grid"),
+            "eavesdrop": ("kraus", "observable_a", "observable_b"),
+            "cloning": ("observable_a", "states")}
+
+
+@pytest.mark.parametrize("scenario,field", [
+    (scenario, field) for scenario in READS for field in CONFIG_FIELDS],
+    ids=[f"{scenario}-{field}" for scenario in READS for field in CONFIG_FIELDS])
+def test_scenario_reads_only_its_fields(scenario, field):
+    dim = 5 if field == "dim" else 3
+    fields = {name: non_default_field(name, dim)
+              for name in ("dim", *REQUIRED.get(scenario, ()), field)}
+    if field in READS[scenario]:
+        assert ScenarioConfig(scenario=scenario, **fields).dim == dim
+    else:
+        with pytest.raises(ValueError, match=f"{scenario} scenario does not read {field}$"):
+            ScenarioConfig(scenario=scenario, **fields)
+
+
+def test_read_table_counts():
+    assert sum(len(fields) for fields in READS.values()) == 20
+    assert len(READS) * len(CONFIG_FIELDS) - 20 == 35

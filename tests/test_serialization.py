@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import random_complete_kraus_set, save_kraus_set
 from qmeter import cli
 from qmeter import (
     KrausSet,
@@ -31,9 +32,7 @@ from qmeter.serialization import (
     pair_rows,
     report_json_bytes,
     report_tables,
-    save_kraus_set,
 )
-from qmeter.verify import random_complete_kraus_set
 
 
 class TestMatrixLiteral:

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import random_complete_kraus_set
 from qmeter import run_verification_suite, validate_completeness
-from qmeter.verify import (
-    IDENTITY_NAMES,
-    RELATION_NAMES,
-    random_complete_kraus_set,
-)
+from qmeter.verify import IDENTITY_NAMES, RELATION_NAMES
 
 
 def result_fingerprint(report):
