@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .backaction import (
     DisturbanceRecord,
     DisturbanceReport,
-    JointRetrodiction,
     ResolutionDisturbanceCheck,
     averaged_disturbance,
     disturbance_forms,
-    joint_retrodictions,
     resolution_disturbance_check,
     sequence_statistics,
 )

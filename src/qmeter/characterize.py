@@ -24,7 +24,7 @@ from .measurement import (
     CompletenessReport,
     KrausSet,
     PairCheck,
-    _commutator_bound,
+    commutator_bound,
     _estimate,
     _pair_check,
     retrodictive_operator,
@@ -97,7 +97,7 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
             pair_rows = []
             for a, b in pairs:
                 obs_a, obs_b, comm = observables[a], observables[b], comms[a, b]
-                bound = _commutator_bound(retro, comm)
+                bound = float(commutator_bound(retro.matrix, comm))
                 var_a = estimates[a].error
                 pair_rows.append(PairRow(
                     observable_a=a, observable_b=b,

@@ -102,8 +102,8 @@ def parse_dims(text: str) -> tuple[int, ...]:
             dims = tuple(int(v) for v in s.split(",") if v)
     except ValueError:
         raise SchemaError(f"cannot parse dimensions {text!r}") from None
-    if any(d < 1 for d in dims):
-        raise SchemaError(f"dimensions must be positive, got {text!r}")
+    if not dims or any(d < 1 for d in dims):
+        raise SchemaError(f"dimensions must be one or more positive integers, got {text!r}")
     return dims
 
 

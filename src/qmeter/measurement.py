@@ -24,8 +24,10 @@ from .errors import (
 )
 from .operators import (
     HermitianObservable,
+    adjoint,
     as_complex_matrix,
     commutator,
+    inner,
     require_same_dim,
     require_square,
 )
@@ -51,6 +53,16 @@ def clamp_variance(value: float) -> float:
     if value >= NEGATIVE_VARIANCE_FLOOR:
         return 0.0
     raise InternalConsistencyError(f"variance {value:.3e} below clamp floor")
+
+
+# clamp_variance over an array, in order: the first value below the floor is named.
+clamp_variances = np.vectorize(clamp_variance, otypes=[float])
+
+
+def squared(values: np.ndarray) -> np.ndarray:
+    """values ** 2 through libm pow, as ``**`` on a float computes it: glibc's
+    pow(x, 2) and x * x differ in the last bit on about 0.1% of inputs."""
+    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -133,47 +145,63 @@ class RetrodictiveOperator:
     """Normalized M'M: what one outcome implies about an unknown eigenstate input.
 
     ``total_weight`` keeps tr{M'M}; under a uniform eigenstate prior the
-    outcome occurs with probability total_weight / dim.
+    outcome occurs with probability total_weight / dim. Both may also hold a
+    stack, one entry per operator of a (..., d, d) stack.
     """
 
     matrix: np.ndarray
     total_weight: float = float("nan")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def expectation(self, observable) -> float:
-        op = observable.matrix if isinstance(observable, HermitianObservable) else \
-            as_complex_matrix(observable, "observable")
-        require_same_dim(self.matrix, op)
-        return float(np.trace(op @ self.matrix).real)
+        return float(moments(self._observable(observable), self.matrix)[0])
 
     def variance(self, observable) -> float:
-        """tr{A^2 R} - tr{A R}^2, evaluated in mean-shifted form for stability."""
+        return clamp_variance(float(moments(self._observable(observable), self.matrix)[1]))
+
+    def _observable(self, observable) -> np.ndarray:
         op = observable.matrix if isinstance(observable, HermitianObservable) else \
             as_complex_matrix(observable, "observable")
         require_same_dim(self.matrix, op)
-        mean = float(np.trace(op @ self.matrix).real)
-        shifted = op - mean * np.eye(self.dim)
-        return clamp_variance(float(np.trace(shifted @ self.matrix @ shifted).real))
+        return op
 
 
-def norm_trace(operator: np.ndarray) -> float:
+# The functions below take one matrix or a (..., d, d) stack, with the same bits.
+
+
+def moments(observable: np.ndarray, retro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tr{A R} and tr{A^2 R} - tr{A R}^2, the variance in mean-shifted form for
+    stability and unclamped."""
+    mean = np.trace(observable @ retro, axis1=-2, axis2=-1).real
+    shifted = observable - mean[..., None, None] * np.eye(observable.shape[-1])
+    return mean, np.trace(shifted @ retro @ shifted, axis1=-2, axis2=-1).real
+
+
+def norm_trace(operator: np.ndarray) -> np.ndarray:
     """tr{M'M} as a sum of squares (always >= 0 in floating point)."""
-    return float(np.vdot(operator, operator).real)
+    flat = operator.reshape(*operator.shape[:-2], -1)
+    return inner(flat, flat).real
+
+
+def outcome_weight(op: np.ndarray) -> np.ndarray:
+    """tr{M'M}; raises UnreachableOutcome below UNREACHABLE_TRACE_FLOOR."""
+    weight = norm_trace(op)
+    if np.any(weight < UNREACHABLE_TRACE_FLOOR):
+        raise UnreachableOutcome(f"tr{{M'M}} = {np.min(weight):.3e} is below "
+                                 f"{UNREACHABLE_TRACE_FLOOR:.1e}; the outcome never occurs")
+    return weight
+
+
+def commutator_bound(retro: np.ndarray, comm: np.ndarray) -> np.ndarray:
+    """|tr{R [A, B]}|^2 / 4, the bound shared by both uncertainty relations."""
+    return 0.25 * squared(np.abs(np.trace(retro @ comm, axis1=-2, axis2=-1)))
 
 
 def retrodictive_operator(operator) -> RetrodictiveOperator:
     """R = M'M / tr{M'M}; unit trace and positive by construction."""
-    op = require_square(as_complex_matrix(operator, "M"), "M")
-    weight = norm_trace(op)
-    if weight < UNREACHABLE_TRACE_FLOOR:
-        raise UnreachableOutcome(
-            f"tr{{M'M}} = {weight:.3e} is below {UNREACHABLE_TRACE_FLOOR:.1e}; the outcome "
-            "never occurs and there is nothing to retrodict")
-    gram = op.conj().T @ op
-    matrix = (gram + gram.conj().T) / (2.0 * weight)
+    op = require_square(np.asarray(operator, dtype=np.complex128), "M")
+    weight = outcome_weight(op)
+    gram = adjoint(op) @ op
+    matrix = (gram + adjoint(gram)) / (2.0 * weight[..., None, None])
     matrix.setflags(write=False)
     return RetrodictiveOperator(matrix=matrix, total_weight=weight)
 
@@ -198,11 +226,9 @@ def optimal_estimate(operator, observable: HermitianObservable) -> EstimateRepor
 
 def _estimate(retro: RetrodictiveOperator, observable: HermitianObservable) -> EstimateReport:
     require_same_dim(retro.matrix, observable.matrix)
-    return EstimateReport(
-        observable=observable.name or "A",
-        estimate=retro.expectation(observable),
-        error=retro.variance(observable),
-    )
+    mean, var = moments(observable.matrix, retro.matrix)
+    return EstimateReport(observable=observable.name or "A", estimate=float(mean),
+                          error=clamp_variance(float(var)))
 
 
 @dataclass(frozen=True)
@@ -228,12 +254,7 @@ def resolution_pair_check(operator, observable_a: HermitianObservable,
     var_b = retro.variance(observable_b)
     comm = commutator(observable_a.matrix, observable_b.matrix)
     return _pair_check(observable_a, observable_b, var_a, var_b,
-                       _commutator_bound(retro, comm))
-
-
-def _commutator_bound(retro: RetrodictiveOperator, comm: np.ndarray) -> float:
-    """|tr{R [A, B]}|^2 / 4, the bound shared by both uncertainty relations."""
-    return float(0.25 * abs(np.trace(retro.matrix @ comm)) ** 2)
+                       float(commutator_bound(retro.matrix, comm)))
 
 
 def _pair_check(observable_a: HermitianObservable, observable_b: HermitianObservable,

@@ -45,8 +45,7 @@ class MixtureCheck:
     second_link_ok: bool
 
 
-def _validated(components: Iterable[MixtureComponent],
-               tol: float) -> Sequence[MixtureComponent]:
+def _validated(components: Iterable[MixtureComponent]) -> Sequence[MixtureComponent]:
     comps = tuple(components)
     if not comps:
         raise InvalidWeights("empty mixture")
@@ -58,7 +57,7 @@ def _validated(components: Iterable[MixtureComponent],
         if c.var_a < 0.0 or c.var_b < 0.0 or c.bound < 0.0:
             raise PreconditionViolated(
                 f"component {i} has a negative variance or bound")
-        if c.var_a * c.var_b < c.bound ** 2 - tol:
+        if c.var_a * c.var_b < c.bound ** 2 - COMPONENT_TOL:
             raise PreconditionViolated(
                 f"component {i} violates its own inequality: "
                 f"{c.var_a * c.var_b:.6e} < {c.bound ** 2:.6e}")
@@ -67,10 +66,10 @@ def _validated(components: Iterable[MixtureComponent],
     return comps
 
 
-def mixture_bound_check(components: Iterable[MixtureComponent],
-                        tol: float = COMPONENT_TOL) -> MixtureCheck:
-    """Average the per-component uncertainties and check the mixed bound."""
-    comps = _validated(components, tol)
+def mixture_bound_check(components: Iterable[MixtureComponent]) -> MixtureCheck:
+    """Average the per-component uncertainties and check the mixed bound,
+    each inequality within COMPONENT_TOL."""
+    comps = _validated(components)
     avg_a = sum(c.weight * c.var_a for c in comps)
     avg_b = sum(c.weight * c.var_b for c in comps)
     avg_prod = sum(c.weight * math.sqrt(c.var_a * c.var_b) for c in comps)
@@ -80,7 +79,7 @@ def mixture_bound_check(components: Iterable[MixtureComponent],
     rhs = avg_bound ** 2
     return MixtureCheck(
         lhs=lhs, middle=middle, rhs=rhs,
-        satisfied=bool(lhs >= rhs - tol),
-        first_link_ok=bool(lhs >= middle - tol),
-        second_link_ok=bool(middle >= rhs - tol),
+        satisfied=bool(lhs >= rhs - COMPONENT_TOL),
+        first_link_ok=bool(lhs >= middle - COMPONENT_TOL),
+        second_link_ok=bool(middle >= rhs - COMPONENT_TOL),
     )

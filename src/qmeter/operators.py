@@ -43,7 +43,8 @@ def as_complex_matrix(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def require_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if matrix.shape[0] != matrix.shape[1]:
+    """A square matrix, or a (..., d, d) stack of them."""
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {matrix.shape}")
     return matrix
 
@@ -55,16 +56,22 @@ def require_same_dim(*matrices: np.ndarray) -> int:
     return dims.pop()
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max-norm distance between a matrix and its adjoint."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+def adjoint(matrix: np.ndarray) -> np.ndarray:
+    """M' of one matrix or of a (..., d, d) stack, as a view of the conjugate."""
+    return matrix.conj().swapaxes(-1, -2)
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|y> over the last axis of (..., d) stacks of vectors: one BLAS dot
+    each, the bits of np.vdot (einsum and sums of squares differ)."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def commutator(a, b) -> np.ndarray:
-    """AB - BA for square matrices of equal dimension."""
-    a = require_square(as_complex_matrix(a, "a"), "a")
-    b = require_square(as_complex_matrix(b, "b"), "b")
-    require_same_dim(a, b)
+    """AB - BA for square matrices of equal dimension, or two (..., d, d) stacks."""
+    a, b = (require_square(np.asarray(m, dtype=np.complex128)) for m in (a, b))
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"commutator of shapes {a.shape} and {b.shape}")
     return a @ b - b @ a
 
 
@@ -76,6 +83,8 @@ class HermitianObservable:
     ``eigenvalues[k]``. Inside a degenerate eigenspace the basis is whatever
     the decomposition produced; downstream quantities only use eigenspace
     projectors or sums over the full basis, so the choice never shows through.
+    The arrays may also hold a (..., d, d) stack of observables, which the
+    stacked kernels read; ``group_table`` needs a single one.
     """
 
     matrix: np.ndarray
@@ -85,7 +94,7 @@ class HermitianObservable:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @cached_property
     def group_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,26 +117,25 @@ class HermitianObservable:
 
 
 def eigendecompose(matrix, name: str | None = None) -> HermitianObservable:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of every matrix in a
+    (..., d, d) stack.
 
     Eigenvalues come back ascending; ties keep the order the decomposition
     produced. Raises NotHermitian when ``max|M - M'|`` exceeds
     ``HERMITICITY_TOL`` and DecompositionFailure when the iteration does not
     converge.
     """
-    m = require_square(as_complex_matrix(matrix))
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    m = require_square(np.array(matrix, dtype=np.complex128))
+    defect = np.max(np.abs(m - adjoint(m)), axis=(-2, -1))
+    if np.any(defect > HERMITICITY_TOL):
         raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
+            f"hermiticity defect {np.max(defect):.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
     try:
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+        vals, vecs = np.linalg.eigh((m + adjoint(m)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise DecompositionFailure(str(exc)) from exc
-    vals = np.asarray(vals, dtype=np.float64)
-    vecs = np.asarray(vecs, dtype=np.complex128)
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
+    for arr in (m, vals, vecs):
+        arr.setflags(write=False)
     return HermitianObservable(matrix=m, eigenvalues=vals, eigenvectors=vecs, name=name)
 
 

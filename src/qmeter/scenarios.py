@@ -398,7 +398,7 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
                 # input retrodiction p(i|m) against the re-prepared mixture
                 input_probs = eve_p[c, :, m] / eve_p[c, :, m].sum()
                 analytic = float(input_probs @ gaps2 @ bob_p[c, 0, m, :])
-            analytic_total += norm_trace(op) / d * analytic
+            analytic_total += float(norm_trace(op)) / d * analytic
             emp = _empirical(int(counts[c, m]), float(s1[c, m]), float(s2[c, m]))
             outcome_stats.append(OutcomeDisturbanceStat(
                 outcome=str(label), analytic=analytic, empirical=emp,

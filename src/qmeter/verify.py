@@ -16,8 +16,10 @@ per-sequence disturbance split, and the resolution averaging gap).
 
 Cases are generated from a counter-based stream (Philox keyed by the seed,
 one substream per case), so the suite is reproducible and each case can be
-drawn independently of the others. The per-sequence statistics and both
-disturbance forms come from ``backaction``; this module only aggregates them.
+drawn independently of the others. The cases of one dimension are then
+stacked and evaluated together, every value bit for bit as a case on its own
+would give it. The per-sequence statistics and both disturbance forms come
+from ``backaction``; this module only aggregates them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backaction import disturbance_forms, sequence_statistics
-from .measurement import retrodictive_operator
-from .operators import HermitianObservable, commutator, eigendecompose
+from .measurement import clamp_variances, commutator_bound, moments, retrodictive_operator, squared
+from .operators import HermitianObservable, commutator, eigendecompose, named_observable
 
 RELATION_NAMES = (
     "resolution_pair",
@@ -72,13 +74,15 @@ class RelationResult:
     min_slack: float = float("inf")
     worst_case: dict | None = None
 
-    def update(self, slack: float, tol: float, case: "_Case"):
-        self.samples += 1
-        if slack < self.min_slack:
-            self.min_slack = slack
-            self.worst_case = case.tag()
-        if slack < -tol:
-            self.violations += 1
+    def update(self, slacks: np.ndarray, tol: float, stack: "_Stack"):
+        """Fold in a stack's slacks as if one case at a time: the worst case
+        changes only on a strictly smaller slack (argmin keeps the first)."""
+        self.samples += len(slacks)
+        self.violations += int(np.count_nonzero(slacks < -tol))
+        k = int(np.argmin(slacks))
+        if slacks[k] < self.min_slack:
+            self.min_slack = float(slacks[k])
+            self.worst_case = stack.tag(k)
 
 
 @dataclass
@@ -88,11 +92,12 @@ class IdentityResult:
     max_error: float = 0.0
     worst_case: dict | None = None
 
-    def update(self, error: float, case: "_Case"):
-        self.samples += 1
-        if error > self.max_error:
-            self.max_error = error
-            self.worst_case = case.tag()
+    def update(self, errors: np.ndarray, stack: "_Stack"):  # as RelationResult.update
+        self.samples += len(errors)
+        k = int(np.argmax(errors))
+        if errors[k] > self.max_error:
+            self.max_error = float(errors[k])
+            self.worst_case = stack.tag(k)
 
 
 @dataclass(frozen=True)
@@ -122,101 +127,109 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
-class _Case:
+class _Stack:
+    """Cases of one dimension: case k has the index ``indices[k]``, the
+    operator ``operators[k]`` and the observables ``obs_a``/``obs_b`` at k."""
+
     dim: int
-    index: int
-    operator: np.ndarray
+    indices: tuple[int, ...]
+    operators: np.ndarray
     obs_a: HermitianObservable
     obs_b: HermitianObservable
 
-    def tag(self) -> dict:
-        return {
-            "dim": self.dim,
-            "case_index": self.index,
-            "operator": self.operator,
-            "observable_a": self.obs_a.matrix,
-            "observable_b": self.obs_b.matrix,
-        }
+    def tag(self, k: int) -> dict:
+        return {"dim": self.dim, "case_index": self.indices[k],
+                "operator": self.operators[k].copy(),
+                "observable_a": self.obs_a.matrix[k].copy(),
+                "observable_b": self.obs_b.matrix[k].copy()}
 
 
-def _anchor_cases() -> list[_Case]:
+def _stack(dim: int, indices, cases) -> _Stack:
+    """Stack (M, A, B) triples of one dimension and decompose A and B."""
+    ops, obs_a, obs_b = (np.array(x, dtype=np.complex128) for x in zip(*cases))
+    return _Stack(dim=dim, indices=tuple(indices), operators=ops,
+                  obs_a=eigendecompose(obs_a), obs_b=eigendecompose(obs_b))
+
+
+def _anchor_stack() -> _Stack:
     """Deterministic qubit edge cases, including exact bound saturation."""
-    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    ket1 = np.array([0.0, 1.0], dtype=np.complex128)
+    ket0, ket1 = np.eye(2, dtype=np.complex128)
     yplus = np.array([1.0, 1.0j], dtype=np.complex128) / np.sqrt(2.0)
-    sz = eigendecompose(np.diag([1.0, -1.0]), name="sz")
-    sx = eigendecompose(np.array([[0, 1], [1, 0]], dtype=complex), name="sx")
-    sy = eigendecompose(np.array([[0, -1j], [1j, 0]], dtype=complex), name="sy")
-    number = eigendecompose(np.diag([0.0, 1.0]), name="n")
+    sz, sx, sy = (named_observable(name).matrix for name in ("sz", "sx", "sy"))
+    number = np.diag([0.0, 1.0])
     cases = [
         (np.outer(ket0, ket0.conj()), sx, sy),    # saturates the pair bound
         (np.outer(ket0, yplus.conj()), sz, sx),
         (np.outer(ket0, ket1.conj()), number, sx),
         (np.eye(2, dtype=np.complex128) / np.sqrt(2.0), sz, sx),
     ]
-    return [_Case(dim=2, index=-(i + 1), operator=m, obs_a=a, obs_b=b)
-            for i, (m, a, b) in enumerate(cases)]
+    return _stack(2, range(-1, -len(cases) - 1, -1), cases)
 
 
-def _evaluate_case(case: _Case, bound_scale: float) -> tuple[dict, dict]:
-    """Slack per relation and error per identity for one (M, A, B) triple."""
-    m, obs_a, obs_b = case.operator, case.obs_a, case.obs_b
-    retro = retrodictive_operator(m)
+def _running(values, kept, start: float = 0.0, beats=None) -> np.ndarray:
+    """Fold ``values``, one array per final result in eigen-index order, as a
+    loop over the reachable final results would, skipping f where ``kept[f]``
+    is False, so every result keeps its bits: a sum from ``start``, or with
+    ``beats`` (np.less, np.greater) the running extreme that, like Python's
+    min and max, changes only when beaten."""
+    acc = None
+    for value, keep in zip(values, kept):
+        acc = np.full_like(value, start) if acc is None else acc
+        step = acc + value if beats is None else np.where(beats(value, acc), value, acc)
+        acc = np.where(keep, step, acc)
+    return acc
+
+
+def _evaluate_stack(stack: _Stack, bound_scale: float) -> tuple[dict, dict]:
+    """Slack per relation and error per identity, one entry per case."""
+    m, obs_a, obs_b = stack.operators, stack.obs_a, stack.obs_b
+    retro_op = retrodictive_operator(m)
+    retro, total = retro_op.matrix, retro_op.total_weight
     comm = commutator(obs_a.matrix, obs_b.matrix)
-    est_a = retro.expectation(obs_a)
-    var_a = retro.variance(obs_a)
-    var_b = retro.variance(obs_b)
-    trace_bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2 * bound_scale
+    est_a, var_a = moments(obs_a.matrix, retro)
+    var_a = clamp_variances(var_a)
+    var_b = clamp_variances(moments(obs_b.matrix, retro)[1])
+    trace_bound = commutator_bound(retro, comm) * bound_scale
 
-    min_seq_pair = np.inf
-    min_seq_dist = np.inf
-    avg_var_a = 0.0
-    avg_dist = 0.0
-    avg_abs_comm = 0.0
-    spread = 0.0
-    recon = np.zeros_like(retro.matrix)
-    max_split_error = 0.0
-    for s in sequence_statistics(m, obs_a, obs_b, comm):
-        j = s.joint
-        seq_bound = 0.25 * s.abs_commutator ** 2 * bound_scale
-        min_seq_pair = min(min_seq_pair, s.var_a * s.var_b - seq_bound)
-        min_seq_dist = min(min_seq_dist, s.var_a * s.disturbance - seq_bound)
-        avg_var_a += j.weight * s.var_a
-        avg_dist += j.weight * s.disturbance
-        avg_abs_comm += j.weight * s.abs_commutator
-        spread += j.weight * (s.mean_a - est_a) ** 2
-        recon = recon + j.weight * np.outer(j.state, j.state.conj())
-        max_split_error = max(
-            max_split_error,
-            abs(s.disturbance - (s.var_b + (j.final_value - s.mean_b) ** 2)))
-
-    averaged_bound = 0.25 * avg_abs_comm ** 2 * bound_scale
-    eigensum, trace_form = disturbance_forms(m, obs_b, retro.total_weight)
+    s = sequence_statistics(m, obs_a, obs_b, comm)
+    w, kept = s.weights, s.kept.T
+    seq_bound = 0.25 * squared(s.abs_commutator) * bound_scale
+    split = np.abs(s.disturbance - (s.var_b + squared(obs_b.eigenvalues - s.mean_b)))
+    avg_var_a = _running((w * s.var_a).T, kept)
+    avg_dist = _running((w * s.disturbance).T, kept)
+    avg_abs_comm = _running((w * s.abs_commutator).T, kept)
+    averaged_bound = 0.25 * squared(avg_abs_comm) * bound_scale
+    spread = _running((w * squared(s.mean_a - est_a[:, None])).T, kept)
+    projectors = (w[:, f, None, None] * (state[:, :, None] * state[:, None, :].conj())
+                  for f, state in enumerate(s.states.swapaxes(0, 1)))  # w_f |r_mf><r_mf|
+    recon = _running(projectors, kept[..., None, None])
+    eigensum, trace_form = disturbance_forms(m, obs_b, total)
 
     slacks = {
         "resolution_pair": var_a * var_b - trace_bound,
-        "sequence_pair": float(min_seq_pair),
-        "sequence_disturbance": float(min_seq_dist),
+        "sequence_pair": _running((s.var_a * s.var_b - seq_bound).T, kept, np.inf, np.less),
+        "sequence_disturbance": _running((s.var_a * s.disturbance - seq_bound).T, kept,
+                                         np.inf, np.less),
         "averaged_pair": avg_var_a * avg_dist - averaged_bound,
         "triangle_chain": averaged_bound - trace_bound,
         "resolution_disturbance": var_a * eigensum - trace_bound,
     }
     errors = {
-        "retrodiction_reconstruction": float(np.max(np.abs(recon - retro.matrix))),
-        "disturbance_eigensum_vs_trace": abs(eigensum - trace_form),
-        "disturbance_weighted_average": abs(eigensum - avg_dist),
-        "conditional_disturbance_split": max_split_error,
-        "resolution_averaging_gap": abs(var_a - avg_var_a - spread),
+        "retrodiction_reconstruction": np.max(np.abs(recon - retro), axis=(-2, -1)),
+        "disturbance_eigensum_vs_trace": np.abs(eigensum - trace_form),
+        "disturbance_weighted_average": np.abs(eigensum - avg_dist),
+        "conditional_disturbance_split": _running(split.T, kept, 0.0, np.greater),
+        "resolution_averaging_gap": np.abs(var_a - avg_var_a - spread),
     }
     return slacks, errors
 
 
-def _case_for(dim: int, index: int, seed: int) -> _Case:
+def _case_for(dim: int, index: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator and the two observable matrices of one random case, drawn
+    from its own Philox substream."""
     gen = np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
-    return _Case(dim=dim, index=index,
-                 operator=random_kraus_operator(dim, gen),
-                 obs_a=eigendecompose(random_hermitian(dim, gen)),
-                 obs_b=eigendecompose(random_hermitian(dim, gen)))
+    return (random_kraus_operator(dim, gen), random_hermitian(dim, gen),
+            random_hermitian(dim, gen))
 
 
 def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
@@ -232,19 +245,18 @@ def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
     relations = {name: RelationResult(name=name) for name in RELATION_NAMES}
     identities = {name: IdentityResult(name=name) for name in IDENTITY_NAMES}
 
-    cases = _anchor_cases()
-    index = 0
-    for dim in dims:
-        for _ in range(samples):
-            cases.append(_case_for(dim, index, seed))
-            index += 1
+    def stacks():  # one dimension at a time, so only one stack is held
+        yield _anchor_stack()
+        for k, dim in enumerate(dims if samples > 0 else ()):
+            indices = range(k * samples, (k + 1) * samples)
+            yield _stack(dim, indices, [_case_for(dim, i, seed) for i in indices])
 
-    for case in cases:
-        slacks, errors = _evaluate_case(case, bound_scale)
+    for stack in stacks():
+        slacks, errors = _evaluate_stack(stack, bound_scale)
         for name, slack in slacks.items():
-            relations[name].update(slack, slack_tol, case)
+            relations[name].update(slack, slack_tol, stack)
         for name, error in errors.items():
-            identities[name].update(error, case)
+            identities[name].update(error, stack)
 
     return VerificationReport(
         dims=dims, samples_per_dim=samples, seed=seed,

@@ -3,21 +3,33 @@
 Each is an independent reference computation (outcome probabilities and
 post-measurement states from a density matrix, the quadratic error of an
 announced value, the coherent-grid completeness sum, the eigenvalue grouping
-loop) or an input generator (random complete Kraus sets, random density
-matrices, Kraus-set files). They live with the tests so that the public API
-holds only what the library and the CLI use.
+loop, the verification suite one case and one final result at a time) or an
+input generator (random complete Kraus sets, random density matrices,
+Kraus-set files). They live with the tests so that the public API holds only
+what the library and the CLI use.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable
 
 import numpy as np
 
-from qmeter import DimensionMismatch, KrausSet, QmeterError, retrodictive_operator
+from qmeter import (
+    DimensionMismatch,
+    KrausSet,
+    QmeterError,
+    VerificationReport,
+    commutator,
+    disturbance_forms,
+    eigendecompose,
+    retrodictive_operator,
+)
+from qmeter.backaction import WEIGHT_FLOOR, _prepare
 from qmeter.measurement import UNREACHABLE_TRACE_FLOOR, clamp_variance
 from qmeter.operators import (
     DEGENERACY_GAP,
@@ -26,6 +38,17 @@ from qmeter.operators import (
     as_complex_matrix,
     require_same_dim,
     require_square,
+)
+from qmeter.verify import (
+    DEFAULT_DIMS,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    IDENTITY_NAMES,
+    IDENTITY_TOL,
+    RELATION_NAMES,
+    SLACK_TOL,
+    random_hermitian,
+    random_kraus_operator,
 )
 from qmeter.serialization import matrix_to_literal
 
@@ -84,7 +107,7 @@ def quadratic_error(operator, observable: HermitianObservable, assigned_value: f
     """
     retro = retrodictive_operator(operator)
     require_same_dim(retro.matrix, observable.matrix)
-    shifted = observable.matrix - float(assigned_value) * np.eye(retro.dim)
+    shifted = observable.matrix - float(assigned_value) * np.eye(retro.matrix.shape[0])
     return clamp_variance(float(np.trace(shifted @ retro.matrix @ shifted).real))
 
 
@@ -170,3 +193,245 @@ def kraus_set_to_dict(kraus: KrausSet) -> dict:
 def save_kraus_set(kraus: KrausSet, path) -> None:
     Path(path).write_text(json.dumps(kraus_set_to_dict(kraus), indent=2,
                                      sort_keys=True) + "\n", encoding="utf-8")
+
+
+# The verification suite one final result and one case at a time: the path
+# qmeter.verify took before it stacked the cases, kept as the oracle that the
+# stacked path must match bit for bit.
+
+
+@dataclass(frozen=True)
+class JointRetrodiction:
+    """Best inference about the input after outcome m and final result B_f."""
+
+    final_value: float
+    state: np.ndarray
+    weight: float
+    eigen_index: int
+
+
+def joint_retrodictions(operator, observable: HermitianObservable) -> list[JointRetrodiction]:
+    """All reachable joint retrodictions, ascending in eigen-index.
+
+    Final outcomes with rounding-level weight are omitted; the remaining
+    weights sum to one up to the dropped mass.
+    """
+    op, total = _prepare(operator, observable)
+    adj = op.conj().T
+    out = []
+    for f in range(observable.dim):
+        u = adj @ observable.eigenvectors[:, f]
+        q = float(np.vdot(u, u).real)
+        weight = q / total
+        if weight < WEIGHT_FLOOR:
+            continue
+        state = u / np.sqrt(q)
+        state.setflags(write=False)
+        out.append(JointRetrodiction(
+            final_value=float(observable.eigenvalues[f]),
+            state=state, weight=weight, eigen_index=f))
+    return out
+
+
+def _mean_and_var(state: np.ndarray, matrix: np.ndarray) -> tuple[float, float]:
+    """First moment and central variance of a Hermitian matrix in a pure state."""
+    mean = float(np.vdot(state, matrix @ state).real)
+    shifted = matrix @ state - mean * state
+    return mean, float(np.vdot(shifted, shifted).real)
+
+
+@dataclass(frozen=True)
+class SequenceStatistics:
+    """Statistics of one (outcome, final result B_f) sequence in its joint
+    retrodiction r_mf.
+
+    ``disturbance`` is <r_mf|(B_f - B)^2|r_mf>, which splits into the random
+    part ``var_b`` plus the systematic shift (B_f - ``mean_b``)^2;
+    ``abs_commutator`` is |<r_mf|[A,B]|r_mf>|.
+    """
+
+    joint: JointRetrodiction
+    mean_a: float
+    var_a: float
+    mean_b: float
+    var_b: float
+    disturbance: float
+    abs_commutator: float
+
+
+def sequence_statistics(operator, observable_a: HermitianObservable,
+                        observable_b: HermitianObservable,
+                        comm: np.ndarray) -> list[SequenceStatistics]:
+    """Per-sequence estimates, variances, disturbance and commutator magnitude
+    for every reachable final result of B; ``comm`` is [A, B]."""
+    require_same_dim(observable_a.matrix, observable_b.matrix, comm)
+    b = observable_b.matrix
+    out = []
+    for j in joint_retrodictions(operator, observable_b):
+        mean_a, var_a = _mean_and_var(j.state, observable_a.matrix)
+        mean_b, var_b = _mean_and_var(j.state, b)
+        shifted = b @ j.state - j.final_value * j.state
+        out.append(SequenceStatistics(
+            joint=j, mean_a=mean_a, var_a=var_a, mean_b=mean_b, var_b=var_b,
+            disturbance=float(np.vdot(shifted, shifted).real),
+            abs_commutator=abs(np.vdot(j.state, comm @ j.state))))
+    return out
+
+
+@dataclass
+class RelationResult:
+    name: str
+    samples: int = 0
+    violations: int = 0
+    min_slack: float = float("inf")
+    worst_case: dict | None = None
+
+    def update(self, slack: float, tol: float, case: "Case"):
+        self.samples += 1
+        if slack < self.min_slack:
+            self.min_slack = slack
+            self.worst_case = case.tag()
+        if slack < -tol:
+            self.violations += 1
+
+
+@dataclass
+class IdentityResult:
+    name: str
+    samples: int = 0
+    max_error: float = 0.0
+    worst_case: dict | None = None
+
+    def update(self, error: float, case: "Case"):
+        self.samples += 1
+        if error > self.max_error:
+            self.max_error = error
+            self.worst_case = case.tag()
+
+
+@dataclass(frozen=True)
+class Case:
+    dim: int
+    index: int
+    operator: np.ndarray
+    obs_a: HermitianObservable
+    obs_b: HermitianObservable
+
+    def tag(self) -> dict:
+        return {
+            "dim": self.dim,
+            "case_index": self.index,
+            "operator": self.operator,
+            "observable_a": self.obs_a.matrix,
+            "observable_b": self.obs_b.matrix,
+        }
+
+
+def anchor_cases() -> list[Case]:
+    """Deterministic qubit edge cases, including exact bound saturation."""
+    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
+    ket1 = np.array([0.0, 1.0], dtype=np.complex128)
+    yplus = np.array([1.0, 1.0j], dtype=np.complex128) / np.sqrt(2.0)
+    sz = eigendecompose(np.diag([1.0, -1.0]), name="sz")
+    sx = eigendecompose(np.array([[0, 1], [1, 0]], dtype=complex), name="sx")
+    sy = eigendecompose(np.array([[0, -1j], [1j, 0]], dtype=complex), name="sy")
+    number = eigendecompose(np.diag([0.0, 1.0]), name="n")
+    cases = [
+        (np.outer(ket0, ket0.conj()), sx, sy),    # saturates the pair bound
+        (np.outer(ket0, yplus.conj()), sz, sx),
+        (np.outer(ket0, ket1.conj()), number, sx),
+        (np.eye(2, dtype=np.complex128) / np.sqrt(2.0), sz, sx),
+    ]
+    return [Case(dim=2, index=-(i + 1), operator=m, obs_a=a, obs_b=b)
+            for i, (m, a, b) in enumerate(cases)]
+
+
+def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
+    """Slack per relation and error per identity for one (M, A, B) triple."""
+    m, obs_a, obs_b = case.operator, case.obs_a, case.obs_b
+    retro = retrodictive_operator(m)
+    comm = commutator(obs_a.matrix, obs_b.matrix)
+    est_a = retro.expectation(obs_a)
+    var_a = retro.variance(obs_a)
+    var_b = retro.variance(obs_b)
+    trace_bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2 * bound_scale
+
+    min_seq_pair = np.inf
+    min_seq_dist = np.inf
+    avg_var_a = 0.0
+    avg_dist = 0.0
+    avg_abs_comm = 0.0
+    spread = 0.0
+    recon = np.zeros_like(retro.matrix)
+    max_split_error = 0.0
+    for s in sequence_statistics(m, obs_a, obs_b, comm):
+        j = s.joint
+        seq_bound = 0.25 * s.abs_commutator ** 2 * bound_scale
+        min_seq_pair = min(min_seq_pair, s.var_a * s.var_b - seq_bound)
+        min_seq_dist = min(min_seq_dist, s.var_a * s.disturbance - seq_bound)
+        avg_var_a += j.weight * s.var_a
+        avg_dist += j.weight * s.disturbance
+        avg_abs_comm += j.weight * s.abs_commutator
+        spread += j.weight * (s.mean_a - est_a) ** 2
+        recon = recon + j.weight * np.outer(j.state, j.state.conj())
+        max_split_error = max(
+            max_split_error,
+            abs(s.disturbance - (s.var_b + (j.final_value - s.mean_b) ** 2)))
+
+    averaged_bound = 0.25 * avg_abs_comm ** 2 * bound_scale
+    eigensum, trace_form = disturbance_forms(m, obs_b, retro.total_weight)
+
+    slacks = {
+        "resolution_pair": var_a * var_b - trace_bound,
+        "sequence_pair": float(min_seq_pair),
+        "sequence_disturbance": float(min_seq_dist),
+        "averaged_pair": avg_var_a * avg_dist - averaged_bound,
+        "triangle_chain": averaged_bound - trace_bound,
+        "resolution_disturbance": var_a * eigensum - trace_bound,
+    }
+    errors = {
+        "retrodiction_reconstruction": float(np.max(np.abs(recon - retro.matrix))),
+        "disturbance_eigensum_vs_trace": abs(eigensum - trace_form),
+        "disturbance_weighted_average": abs(eigensum - avg_dist),
+        "conditional_disturbance_split": max_split_error,
+        "resolution_averaging_gap": abs(var_a - avg_var_a - spread),
+    }
+    return slacks, errors
+
+
+def case_for(dim: int, index: int, seed: int) -> Case:
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
+    return Case(dim=dim, index=index,
+                operator=random_kraus_operator(dim, gen),
+                obs_a=eigendecompose(random_hermitian(dim, gen)),
+                obs_b=eigendecompose(random_hermitian(dim, gen)))
+
+
+def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
+                           seed: int = DEFAULT_SEED, slack_tol: float = SLACK_TOL,
+                           bound_scale: float = 1.0) -> VerificationReport:
+    """Run the full randomized suite and aggregate worst slacks and errors."""
+    dims = tuple(int(d) for d in dims)
+    relations = {name: RelationResult(name=name) for name in RELATION_NAMES}
+    identities = {name: IdentityResult(name=name) for name in IDENTITY_NAMES}
+
+    cases = anchor_cases()
+    index = 0
+    for dim in dims:
+        for _ in range(samples):
+            cases.append(case_for(dim, index, seed))
+            index += 1
+
+    for case in cases:
+        slacks, errors = evaluate_case(case, bound_scale)
+        for name, slack in slacks.items():
+            relations[name].update(slack, slack_tol, case)
+        for name, error in errors.items():
+            identities[name].update(error, case)
+
+    return VerificationReport(
+        dims=dims, samples_per_dim=samples, seed=seed,
+        slack_tol=slack_tol, identity_tol=IDENTITY_TOL, bound_scale=bound_scale,
+        relations=tuple(relations[n] for n in RELATION_NAMES),
+        identities=tuple(identities[n] for n in IDENTITY_NAMES),
+    )

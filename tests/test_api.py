@@ -9,7 +9,7 @@ EXPORTS = [
     "CoherentState", "CompletenessReport", "CompletenessUnachievable",
     "DecompositionFailure", "DimensionMismatch", "DisturbanceRecord", "DisturbanceReport",
     "EavesdropReport", "EstimateReport", "HermitianObservable", "IncompleteKrausSet",
-    "InternalConsistencyError", "InvalidWeights", "JointRetrodiction", "KrausSet",
+    "InternalConsistencyError", "InvalidWeights", "KrausSet",
     "MixtureCheck", "MixtureComponent", "NonUnitState", "NotHermitian", "ObservableRow",
     "OutcomeCharacterization", "PairCheck", "PairRow", "PreconditionViolated",
     "QmeterError", "ResolutionDisturbanceCheck", "RetrodictiveOperator", "ScenarioConfig",
@@ -17,7 +17,7 @@ EXPORTS = [
     "UnknownObservable", "UnknownOutcome", "UnreachableOutcome", "VerificationReport",
     "averaged_disturbance", "bosonic_operators", "characterize",
     "classical_teleportation_preset", "cloning_error", "coherent_state", "commutator",
-    "disturbance_forms", "eavesdrop_simulation", "eigendecompose", "joint_retrodictions",
+    "disturbance_forms", "eavesdrop_simulation", "eigendecompose",
     "mixture_bound_check", "named_observable", "optimal_estimate",
     "photon_detector_preset", "qnd_preset", "random_hermitian", "random_kraus_operator",
     "resolution_disturbance_check", "resolution_pair_check", "retrodictive_operator",
@@ -29,4 +29,4 @@ def test_exported_names():
     exported = sorted(name for name in dir(qmeter) if not name.startswith("_")
                       and not isinstance(getattr(qmeter, name), types.ModuleType))
     assert exported == EXPORTS
-    assert len(EXPORTS) == 65
+    assert len(EXPORTS) == 63

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import eigenvalue_groups
 from qmeter import (
     DimensionMismatch,
@@ -17,7 +18,6 @@ from qmeter import (
     commutator,
     disturbance_forms,
     eigendecompose,
-    joint_retrodictions,
     named_observable,
     resolution_disturbance_check,
     retrodictive_operator,
@@ -50,7 +50,20 @@ def eigen_index_for(obs, value):
 
 
 def stats(m, obs_a, obs_b):
-    return sequence_statistics(m, obs_a, obs_b, commutator(obs_a.matrix, obs_b.matrix))
+    """The kernel's statistics of each reachable final result of obs_b,
+    ascending in eigen-index, one namespace per sequence."""
+    s = sequence_statistics(m, obs_a, obs_b, commutator(obs_a.matrix, obs_b.matrix))
+    return [SimpleNamespace(
+        joint=SimpleNamespace(final_value=float(obs_b.eigenvalues[f]), state=s.states[f],
+                              weight=float(s.weights[f]), eigen_index=int(f)),
+        mean_a=s.mean_a[f], var_a=s.var_a[f], mean_b=s.mean_b[f], var_b=s.var_b[f],
+        disturbance=s.disturbance[f], abs_commutator=s.abs_commutator[f])
+        for f in np.flatnonzero(s.kept)]
+
+
+def joint_retrodictions(m, obs):
+    """The reachable joint retrodictions r_mf of the kernel, ascending in f."""
+    return [s.joint for s in stats(m, obs, obs)]
 
 
 def stat_for(m, obs_a, obs_b, value):
@@ -101,6 +114,30 @@ class TestJointRetrodiction:
             assert sum(j.weight for j in joints) == pytest.approx(1.0, abs=1e-10)
             for j in joints:
                 assert np.linalg.norm(j.state) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_kernel_matches_scalar_oracle(dim):
+    # One operator at a time, the kernel gives the scalar path's values bit for
+    # bit, also when one final result falls below WEIGHT_FLOOR and is skipped.
+    rng = np.random.Generator(np.random.Philox(key=71 + dim))
+    for drop in (False, True) if dim > 1 else (False,):
+        obs_a = eigendecompose(random_hermitian(dim, rng))
+        obs_b = eigendecompose(random_hermitian(dim, rng))
+        m = random_kraus_operator(dim, rng)
+        if drop:
+            m = obs_b.eigenvectors @ np.diag(np.r_[0.01 * WEIGHT_FLOOR, np.ones(dim - 1)]) @ m
+        comm = commutator(obs_a.matrix, obs_b.matrix)
+        expected = oracles.sequence_statistics(m, obs_a, obs_b, comm)
+        got = sequence_statistics(m, obs_a, obs_b, comm)
+        assert np.flatnonzero(got.kept).tolist() == [s.joint.eigen_index for s in expected]
+        for s in expected:
+            f = s.joint.eigen_index
+            assert got.weights[f] == s.joint.weight
+            assert got.states[f].tolist() == s.joint.state.tolist()
+            assert [got.mean_a[f], got.var_a[f], got.mean_b[f], got.var_b[f],
+                    got.disturbance[f], got.abs_commutator[f]] == \
+                [s.mean_a, s.var_a, s.mean_b, s.var_b, s.disturbance, s.abs_commutator]
 
 
 class TestJointEstimates:
@@ -436,10 +473,11 @@ def ramp_observable(dim, rng):
 
 def scalar_reference(m, obs_a, obs_b):
     """Disturbance records and chain bound rebuilt one final result at a time
-    from sequence_statistics: (records, averaged_bound), each record a tuple
-    (final_value, weight, random, systematic)."""
+    from the oracle's sequence_statistics: (records, averaged_bound), each
+    record a tuple (final_value, weight, random, systematic)."""
     comm = commutator(obs_a.matrix, obs_b.matrix)
-    seqs = {s.joint.eigen_index: s for s in sequence_statistics(m, obs_a, obs_b, comm)}
+    seqs = {s.joint.eigen_index: s
+            for s in oracles.sequence_statistics(m, obs_a, obs_b, comm)}
     records = []
     for value, indices in eigenvalue_groups(obs_b):
         members = [seqs[i] for i in indices if i in seqs]

@@ -189,6 +189,8 @@ IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_litera
 @pytest.mark.parametrize("argv", [
     ["verify", "--dims", "abc"],
     ["verify", "--dims", "0..2"],
+    ["verify", "--dims", "3..2"],
+    ["verify", "--dims", ","],
     ["verify", "--samples", "-3"],
     ["verify", "--seed", "-1"],
     ["verify", "--seed", str(2 ** 128)],
@@ -233,7 +235,8 @@ IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_litera
     ["validate", {**IDENTITY_SET, "dim": 2.0}],
     ["validate", {"dim": True, "outcomes": [
         {"label": "0", "matrix": {"rows": 1, "cols": 1, "data": [[1, 0]]}}]}],
-], ids=["verify-dims", "verify-dim-zero", "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
+], ids=["verify-dims", "verify-dim-zero", "verify-dims-empty-range", "verify-dims-empty-list",
+        "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
         "qnd-grid-nan-flag", "scenario-name",
         "scenario-sigma", "scenario-missing-field", "validate-nan", "characterize-nan", "scenario-state-nan",
         "scenario-state-dim", "scenario-observable-dim",
