@@ -21,6 +21,7 @@ from .measurement import (
     SLACK_TOL,
     clamp_variance,
     commutator_bound,
+    norm_trace,
     outcome_weight,
     retrodictive_operator,
 )
@@ -38,14 +39,8 @@ from .operators import (
 # (their exact weight is a rounding-level zero).
 WEIGHT_FLOOR = 1e-14
 
-# Absolute tolerance on redundant evaluations of the same quantity.
+# Tolerance on redundant evaluations of the same quantity, relative above unit scale.
 IDENTITY_TOL = 1e-10
-
-# Rounding bound of the disturbance trace form, in units of eps * d * max|B|^2.
-# Its terms are of size max|B|^2 and cancel, so its rounding error does not
-# shrink with the result. Measured: at most 10.3 units over 19,200 random
-# cases (d 2-200, spectra up to 1e4, commuting and near-commuting M included).
-TRACE_FORM_ROUNDING = 16.0
 
 
 def _prepare(operator, observable: HermitianObservable) -> tuple[np.ndarray, float]:
@@ -141,8 +136,9 @@ class DisturbanceReport:
     """Averaged disturbance of one observable caused by one outcome.
 
     ``value`` is the double eigenbasis sum of |<B_f|M|B_i>|^2 (B_f - B_i)^2
-    over tr{M'M}; ``trace_form`` is the equivalent closed form
-    (tr{M'B^2M} + tr{B^2M'M} - 2 tr{M'BMB}) / tr{M'M}, kept as a cross-check.
+    over tr{M'M}; ``trace_form`` holds ||[B, M]||_F^2 / tr{M'M}, a cross-check
+    computed without B's eigenvectors. The key keeps the name of the trace
+    form, which the commutator norm equals in exact arithmetic.
     """
 
     observable: str
@@ -151,29 +147,29 @@ class DisturbanceReport:
     records: tuple[DisturbanceRecord, ...]
 
 
-def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
-                      total) -> tuple[np.ndarray, np.ndarray]:
-    """The averaged disturbance computed two independent ways, unclamped.
-
-    Returns the eigenbasis double sum and the trace form described on
-    DisturbanceReport, both divided by ``total`` = tr{M'M}. ``op`` is one
-    matrix or a (..., d, d) stack, with observables and totals to match.
-    """
+def disturbance_eigensum(op: np.ndarray, observable: HermitianObservable, total) -> np.ndarray:
+    """DisturbanceReport.value for one M or a (..., d, d) stack; ``total`` is tr{M'M}."""
     vals = observable.eigenvalues
     vecs = observable.eigenvectors
     sandwich = adjoint(vecs) @ op @ vecs                    # <B_f|M|B_i>
     weights2 = np.abs(sandwich) ** 2
     gaps2 = (vals[..., :, None] - vals[..., None, :]) ** 2  # (B_f - B_i)^2
     terms = weights2 * gaps2
-    eigensum = np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1) / total
+    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1) / total
 
+
+def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
+                      total) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensum and the unclamped trace form (tr{M'B^2M} + tr{B^2M'M}
+    - 2 tr{M'BMB}) / tr{M'M} that verify's identity compares. The trace form
+    cancels terms of size max|B|^2, so characterize uses the commutator norm."""
     b = observable.matrix
     b2 = b @ b
     adj = adjoint(op)
     trace_form = (np.trace(adj @ b2 @ op, axis1=-2, axis2=-1)
                   + np.trace(b2 @ adj @ op, axis1=-2, axis2=-1)
                   - 2.0 * np.trace(adj @ b @ op @ b, axis1=-2, axis2=-1)).real / total
-    return eigensum, trace_form
+    return disturbance_eigensum(op, observable, total), trace_form
 
 
 class _FinalStatistics(NamedTuple):
@@ -186,16 +182,6 @@ class _FinalStatistics(NamedTuple):
     weights: np.ndarray
 
 
-def _forms_tolerance(eigensum: float, observable: HermitianObservable) -> float:
-    """Allowed gap between the two disturbance forms: IDENTITY_TOL, absolute
-    below unit scale and relative above (double precision cannot hold an
-    absolute 1e-10 on quantities of order 1e6), plus the trace form's rounding
-    bound."""
-    scale = float(np.max(np.abs(observable.eigenvalues))) ** 2
-    return (IDENTITY_TOL * max(1.0, eigensum)
-            + TRACE_FORM_ROUNDING * np.finfo(float).eps * observable.dim * scale)
-
-
 def _final_statistics(op: np.ndarray, total: float,
                       observable: HermitianObservable) -> _FinalStatistics:
     """Averaged disturbance with every final result handled at once.
@@ -203,12 +189,12 @@ def _final_statistics(op: np.ndarray, total: float,
     ``op`` is M and ``total`` is tr{M'M}; the caller has checked dimensions
     and reachability.
     """
-    eigensum, trace_form = (float(x) for x in disturbance_forms(op, observable, total))
-    trace_form = max(0.0, trace_form)
-    if abs(eigensum - trace_form) > _forms_tolerance(eigensum, observable):
+    eigensum = float(disturbance_eigensum(op, observable, total))
+    norm = float(norm_trace(commutator(observable.matrix, op)) / total)
+    if abs(eigensum - norm) > IDENTITY_TOL * max(1.0, eigensum):
         raise InternalConsistencyError(
-            f"disturbance eigenbasis sum {eigensum:.12e} and trace form "
-            f"{trace_form:.12e} disagree")
+            f"disturbance eigenbasis sum {eigensum:.12e} and commutator norm "
+            f"{norm:.12e} disagree")
 
     u = op.conj().T @ observable.eigenvectors           # column f: M'|B_f>
     q = np.einsum("ij,ij->j", u.conj(), u).real
@@ -243,7 +229,7 @@ def _final_statistics(op: np.ndarray, total: float,
             final_value=value, weight=w, total=random_part + systematic,
             random=random_part, systematic=systematic))
     report = DisturbanceReport(observable=observable.name or "B",
-                               value=eigensum, trace_form=trace_form,
+                               value=eigensum, trace_form=norm,
                                records=tuple(records))
     return _FinalStatistics(report=report, states=states, weights=weights)
 

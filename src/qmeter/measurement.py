@@ -152,9 +152,6 @@ class RetrodictiveOperator:
     matrix: np.ndarray
     total_weight: float = float("nan")
 
-    def expectation(self, observable) -> float:
-        return float(moments(self._observable(observable), self.matrix)[0])
-
     def variance(self, observable) -> float:
         return clamp_variance(float(moments(self._observable(observable), self.matrix)[1]))
 

@@ -52,6 +52,7 @@ from .operators import (
     eigendecompose,
     named_observable,
 )
+from .verify import philox_substreams
 
 TRIAL_BLOCK = 4096
 
@@ -318,9 +319,10 @@ def _sample_blocks(eve_cum: np.ndarray, bob_cum: np.ndarray, values: np.ndarray,
     counts = np.zeros(cells, dtype=np.int64)
     s1 = np.zeros(cells)
     s2 = np.zeros(cells)
+    substream = philox_substreams(seed)
     for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+        gen = substream(block)
         basis = gen.integers(0, 2, size=size)
         sent = gen.integers(0, d, size=size)
         u_eve = gen.random(size=size)

@@ -56,6 +56,21 @@ SLACK_TOL = 1e-10
 IDENTITY_TOL = 1e-10
 
 
+def philox_substreams(seed: int):
+    """``substream(i)`` resets one Generator to draw what
+    ``Generator(Philox(key=seed, counter=i << 64))`` draws, without the OS
+    entropy that such a Philox seeds a SeedSequence from."""
+    gen = np.random.Generator(np.random.Philox(0))
+    fresh = gen.bit_generator.state  # empty buffer, no cached 32-bit half
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
+
+    def substream(index: int) -> np.random.Generator:
+        counter = np.array([0, index, 0, 0], dtype=np.uint64)
+        gen.bit_generator.state = {**fresh, "state": {"counter": counter, "key": key}}
+        return gen
+    return substream
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
@@ -224,10 +239,9 @@ def _evaluate_stack(stack: _Stack, bound_scale: float) -> tuple[dict, dict]:
     return slacks, errors
 
 
-def _case_for(dim: int, index: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _case_for(dim: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The operator and the two observable matrices of one random case, drawn
-    from its own Philox substream."""
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
+    from ``gen``, the case's own Philox substream."""
     return (random_kraus_operator(dim, gen), random_hermitian(dim, gen),
             random_hermitian(dim, gen))
 
@@ -247,9 +261,10 @@ def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
 
     def stacks():  # one dimension at a time, so only one stack is held
         yield _anchor_stack()
+        substream = philox_substreams(seed)
         for k, dim in enumerate(dims if samples > 0 else ()):
             indices = range(k * samples, (k + 1) * samples)
-            yield _stack(dim, indices, [_case_for(dim, i, seed) for i in indices])
+            yield _stack(dim, indices, [_case_for(dim, substream(i)) for i in indices])
 
     for stack in stacks():
         slacks, errors = _evaluate_stack(stack, bound_scale)

@@ -30,7 +30,7 @@ from qmeter import (
     retrodictive_operator,
 )
 from qmeter.backaction import WEIGHT_FLOOR, _prepare
-from qmeter.measurement import UNREACHABLE_TRACE_FLOOR, clamp_variance
+from qmeter.measurement import UNREACHABLE_TRACE_FLOOR, clamp_variance, moments
 from qmeter.operators import (
     DEGENERACY_GAP,
     BosonicSpace,
@@ -351,7 +351,7 @@ def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
     m, obs_a, obs_b = case.operator, case.obs_a, case.obs_b
     retro = retrodictive_operator(m)
     comm = commutator(obs_a.matrix, obs_b.matrix)
-    est_a = retro.expectation(obs_a)
+    est_a = float(moments(obs_a.matrix, retro.matrix)[0])
     var_a = retro.variance(obs_a)
     var_b = retro.variance(obs_b)
     trace_bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2 * bound_scale

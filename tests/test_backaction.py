@@ -25,6 +25,7 @@ from qmeter import (
 )
 from qmeter import backaction
 from qmeter.backaction import WEIGHT_FLOOR
+from qmeter.measurement import moments, norm_trace
 from qmeter.operators import DEGENERACY_GAP, BosonicSpace
 from qmeter.scenarios import qnd_preset
 from qmeter.verify import random_hermitian, random_kraus_operator
@@ -264,7 +265,7 @@ def decomposition(m, obs_a, obs_b):
     retro = retrodictive_operator(m)
     seqs = stats(m, obs_a, obs_b)
     recon = sum(s.joint.weight * proj(s.joint.state) for s in seqs)
-    estimate = retro.expectation(obs_a)
+    estimate = float(moments(obs_a.matrix, retro.matrix)[0])
     resolution = retro.variance(obs_a)
     averaged = sum(s.joint.weight * s.var_a for s in seqs)
     spread = sum(s.joint.weight * (s.mean_a - estimate) ** 2 for s in seqs)
@@ -391,12 +392,52 @@ LARGE_DEGENERATE = eigendecompose(np.diag([3000.0, 3000.0, 3000.0, 0.0, 1.0, 2.0
 
 
 def test_disturbance_cross_check_allows_trace_form_rounding():
-    # M commutes with B, so the eigensum is exactly 0 while the trace form
-    # cancels terms of size 3000^2 and keeps about 1e-9 of rounding error
+    # M commutes with B, so the eigensum and the commutator norm are exactly 0;
+    # the trace form cancels terms of size 3000^2 and keeps about 1e-9 of
+    # rounding error, which is why the cross-check does not use it
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(300):
         m = np.diag(rng.random(6) + 0.05).astype(complex)
-        assert averaged_disturbance(m, LARGE_DEGENERATE).value == 0.0
+        report = averaged_disturbance(m, LARGE_DEGENERATE)
+        assert report.value == 0.0
+        assert report.trace_form == 0.0
+
+
+def forms_tolerance(eigensum):
+    """The cross-check's allowed gap between the eigensum and the commutator norm."""
+    return backaction.IDENTITY_TOL * max(1.0, eigensum)
+
+
+def disturbance_case(kind, dim, rng):
+    """(M, B) with B's spectrum up to 1e4, degenerate for some kinds, and M
+    random, a function of B (commuting) or one plus a perturbation of relative
+    size 1e-12..1e-2 (near-commuting)."""
+    scale = 10.0 ** rng.uniform(0.0, 4.0)
+    vals = scale * rng.uniform(-1.0, 1.0, dim)
+    if kind in ("degenerate", "commuting"):
+        vals = scale * rng.integers(-2, 3, dim).astype(float)
+    u = random_unitary(dim, rng)
+    obs = eigendecompose(u @ np.diag(vals) @ u.conj().T, name="B")
+    if kind in ("random", "degenerate"):
+        return random_kraus_operator(dim, rng), obs
+    m = (obs.eigenvectors * (rng.random(dim) + 0.05)) @ obs.eigenvectors.conj().T
+    if kind == "near-commuting":
+        m = m + 10.0 ** rng.uniform(-12.0, -2.0) * random_kraus_operator(dim, rng)
+    return m, obs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["random", "degenerate", "commuting", "near-commuting"]))
+def test_commutator_norm_within_identity_tolerance(dim, seed, kind):
+    # The commutator norm has no cancelling terms, so it agrees with the
+    # eigensum within IDENTITY_TOL * max(1, eigensum) and no rounding allowance
+    # over spectra up to 1e4 and commuting M, where the trace form cannot.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m, obs = disturbance_case(kind, dim, rng)
+    report = averaged_disturbance(m, obs)
+    assert report.trace_form >= 0.0
+    assert abs(report.value - report.trace_form) <= forms_tolerance(report.value)
 
 
 @pytest.mark.parametrize("observable,op", [
@@ -404,13 +445,12 @@ def test_disturbance_cross_check_allows_trace_form_rounding():
     (SX, np.diag([0.3, 0.9]).astype(complex)),
 ], ids=["large-spectrum", "unit-spectrum"])
 def test_disturbance_cross_check_negative_control(observable, op, monkeypatch):
-    forms = backaction.disturbance_forms
-
-    def offset_forms(op, obs, total):
-        eigensum, trace_form = forms(op, obs, total)
-        return eigensum, trace_form + 10.0 * backaction._forms_tolerance(eigensum, obs)
-
-    monkeypatch.setattr(backaction, "disturbance_forms", offset_forms)
+    # the commutator norm offset by 10x the allowed gap must trip the check
+    total = float(norm_trace(op))
+    eigensum = float(backaction.disturbance_eigensum(op, observable, total))
+    offset = 10.0 * forms_tolerance(eigensum) * total
+    norm = backaction.norm_trace
+    monkeypatch.setattr(backaction, "norm_trace", lambda m: norm(m) + offset)
     with pytest.raises(InternalConsistencyError, match="disagree"):
         averaged_disturbance(op, observable)
 
@@ -433,7 +473,10 @@ def test_qnd_quadrature_disturbance_matches_closed_form():
     assert len(kraus) == 141
     for op in kraus.operators:
         closed = quadrature_disturbance_closed_form(np.diag(op))
-        assert averaged_disturbance(op, x).value == pytest.approx(closed, rel=1e-12)
+        report = averaged_disturbance(op, x)
+        assert report.value == pytest.approx(closed, rel=1e-12)
+        # the cross-check's commutator norm is the closed form's ||[x, M]||_F^2
+        assert report.trace_form == pytest.approx(closed, rel=1e-12)
 
 
 @settings(max_examples=10, deadline=None)

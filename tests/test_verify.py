@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from qmeter import (
     sequence_statistics,
     validate_completeness,
 )
-from qmeter import verify
+from qmeter import cli, verify
 from qmeter.backaction import WEIGHT_FLOOR
 from qmeter.measurement import clamp_variances
 from qmeter.serialization import make_manifest, report_json_bytes
@@ -78,8 +81,27 @@ def assert_matches_oracle(stack, cases, bound_scale):
         assert bits.tolist() == np.array(expected[name]).view(np.int64).tolist(), name
 
 
+def substream_draws(gen):
+    # an odd number of 32-bit draws leaves half a word cached in the bit generator
+    return (gen.integers(0, 2, size=7).tolist() + gen.standard_normal(5).tolist()
+            + gen.random(3).tolist() + gen.integers(0, 10 ** 12, size=3).tolist())
+
+
+@pytest.mark.parametrize("seed,index", [
+    (0, 0), (988, 4999), (42, 2441), (7, 2 ** 32 + 5), (2 ** 64 + 3, 2 ** 40),
+    (2 ** 128 - 1, 3), (2 ** 128 - 12345, 2 ** 63)])
+def test_philox_substreams_match_fresh_generators(seed, index):
+    # the reused, reset generator draws what a Philox built per substream draws,
+    # also after another substream left draws cached
+    substream = verify.philox_substreams(seed)
+    for i in (index, index + 1, index):
+        fresh = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+        assert substream_draws(substream(i)) == substream_draws(fresh)
+
+
 def random_stack(dim, indices, seed):
-    return verify._stack(dim, indices, [verify._case_for(dim, i, seed) for i in indices])
+    substream = verify.philox_substreams(seed)
+    return verify._stack(dim, indices, [verify._case_for(dim, substream(i)) for i in indices])
 
 
 @pytest.mark.parametrize("seed", [5, 988, 31337])
@@ -155,3 +177,27 @@ def test_report_bytes_match_oracle_run(seed, samples, bound_scale):
     assert (offenders[0] is None) == (bound_scale == 1.0)
     if offenders[0] is not None:
         assert report_json_bytes(offenders[0]) == report_json_bytes(offenders[1])
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_checks():
+    """The benchmark's golden reader and comparison, imported from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_verify_matches_benchmark_golden(tmp_path, capsys):
+    # The benchmark's verify_default run at program seed 990, whose golden
+    # pins the trace form's rounding: its disturbance_eigensum_vs_trace worst
+    # case moves (case 3021 to 4920) if verify compares the commutator norm.
+    out = tmp_path / "verify"
+    rc = cli.main(["verify", "--dims", "2..6", "--samples", "1000", "--seed", "990",
+                   "--out", str(out)])
+    assert (rc, capsys.readouterr().out.strip().splitlines()[-1]) == (0, "PASS")
+    checks = perfbench_checks()
+    golden = checks.load_golden(PERFBENCH / "golden" / "verify_default-990.json.xz")
+    assert checks.compare(golden["files"], checks.read_outputs(out)) == []
