@@ -12,17 +12,16 @@ __version__ = "0.1.0"
 from .backaction import (
     DisturbanceRecord,
     DisturbanceReport,
-    ResolutionDisturbanceCheck,
-    averaged_disturbance,
     disturbance_forms,
-    resolution_disturbance_check,
     sequence_statistics,
 )
 from .characterize import (
     CharacterizationReport,
     ObservableRow,
     OutcomeCharacterization,
+    PairCheck,
     PairRow,
+    ResolutionDisturbanceCheck,
     characterize,
 )
 from .errors import (
@@ -39,17 +38,12 @@ from .errors import (
     SchemaError,
     TruncationError,
     UnknownObservable,
-    UnknownOutcome,
     UnreachableOutcome,
 )
 from .measurement import (
     CompletenessReport,
-    EstimateReport,
     KrausSet,
-    PairCheck,
     RetrodictiveOperator,
-    optimal_estimate,
-    resolution_pair_check,
     retrodictive_operator,
     validate_completeness,
 )

@@ -17,37 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError
-from .measurement import (
-    SLACK_TOL,
-    clamp_variance,
-    commutator_bound,
-    norm_trace,
-    outcome_weight,
-    retrodictive_operator,
-)
-from .operators import (
-    HermitianObservable,
-    adjoint,
-    as_complex_matrix,
-    commutator,
-    inner,
-    require_same_dim,
-    require_square,
-)
+from .measurement import clamp_variance, norm_trace, outcome_weight
+from .operators import HermitianObservable, adjoint, commutator, inner, require_square
 
 # Final outcomes whose weight w_m(B_f) falls below this floor are dropped
 # (their exact weight is a rounding-level zero).
 WEIGHT_FLOOR = 1e-14
 
-# Tolerance on redundant evaluations of the same quantity, relative above unit scale.
-IDENTITY_TOL = 1e-10
-
-
-def _prepare(operator, observable: HermitianObservable) -> tuple[np.ndarray, float]:
-    op = require_square(as_complex_matrix(operator, "M"), "M")
-    require_same_dim(op, observable.matrix)
-    return op, float(outcome_weight(op))
-
+# Allowed gap between the disturbance eigensum and the commutator norm that
+# cross-checks it, relative above unit scale.
+CROSS_CHECK_TOL = 1e-10
 
 # The final-result statistics have two paths; both start from M'|B_f>, the
 # unnormalized r_mf. sequence_statistics, which verify reads, forms it with one
@@ -55,7 +34,7 @@ def _prepare(operator, observable: HermitianObservable) -> tuple[np.ndarray, flo
 # once. That is the arithmetic of verify's reports, which keep the argmax of
 # identity errors that are pure rounding noise: one matrix product M'V (gemm)
 # differs from the column products in the last bit at d = 2, 3, 5 and 6, and
-# would move them. _final_statistics, which characterize reads, keeps the
+# would move them. final_statistics, which characterize reads, keeps the
 # gemm: at d=120 the 120 column products take 0.58 ms against 0.22 ms for M'V.
 
 
@@ -172,7 +151,7 @@ def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
     return disturbance_eigensum(op, observable, total), trace_form
 
 
-class _FinalStatistics(NamedTuple):
+class FinalStatistics(NamedTuple):
     """One outcome's averaged disturbance of B and the joint retrodictions it
     averages: ``states[:, k]`` is r_mf for the k-th reachable final result and
     ``weights[k]`` its w_m(B_f)."""
@@ -182,8 +161,8 @@ class _FinalStatistics(NamedTuple):
     weights: np.ndarray
 
 
-def _final_statistics(op: np.ndarray, total: float,
-                      observable: HermitianObservable) -> _FinalStatistics:
+def final_statistics(op: np.ndarray, total: float,
+                     observable: HermitianObservable) -> FinalStatistics:
     """Averaged disturbance with every final result handled at once.
 
     ``op`` is M and ``total`` is tr{M'M}; the caller has checked dimensions
@@ -191,7 +170,7 @@ def _final_statistics(op: np.ndarray, total: float,
     """
     eigensum = float(disturbance_eigensum(op, observable, total))
     norm = float(norm_trace(commutator(observable.matrix, op)) / total)
-    if abs(eigensum - norm) > IDENTITY_TOL * max(1.0, eigensum):
+    if abs(eigensum - norm) > CROSS_CHECK_TOL * max(1.0, eigensum):
         raise InternalConsistencyError(
             f"disturbance eigenbasis sum {eigensum:.12e} and commutator norm "
             f"{norm:.12e} disagree")
@@ -231,71 +210,4 @@ def _final_statistics(op: np.ndarray, total: float,
     report = DisturbanceReport(observable=observable.name or "B",
                                value=eigensum, trace_form=norm,
                                records=tuple(records))
-    return _FinalStatistics(report=report, states=states, weights=weights)
-
-
-def averaged_disturbance(operator, observable: HermitianObservable) -> DisturbanceReport:
-    """Average squared change of the observable over all inputs and final results."""
-    op, total = _prepare(operator, observable)
-    return _final_statistics(op, total, observable).report
-
-
-@dataclass(frozen=True)
-class ResolutionDisturbanceCheck:
-    """Resolution-disturbance uncertainty for one outcome.
-
-    ``averaged_bound`` is the tighter intermediate bound obtained by averaging
-    |<r_mf|[A,B]|r_mf>| over final results before squaring; by the triangle
-    inequality it always dominates ``bound`` = |tr{R_m [A,B]}|^2 / 4.
-    """
-
-    observable_a: str
-    observable_b: str
-    resolution: float
-    disturbance: float
-    product: float
-    bound: float
-    slack: float
-    satisfied: bool
-    averaged_bound: float
-    chain_slack: float
-    chain_ok: bool
-
-
-def resolution_disturbance_check(operator, observable_a: HermitianObservable,
-                                 observable_b: HermitianObservable) -> ResolutionDisturbanceCheck:
-    """Check delta_A^2 * Delta_B^2 >= |tr{R_m [A, B]}|^2 / 4 for one outcome."""
-    retro = retrodictive_operator(operator)
-    require_same_dim(retro.matrix, observable_a.matrix, observable_b.matrix)
-    resolution = retro.variance(observable_a)
-    finals = _final_statistics(*_prepare(operator, observable_b), observable_b)
-    comm = commutator(observable_a.matrix, observable_b.matrix)
-    return _resolution_disturbance_check(
-        observable_a, observable_b, resolution, float(commutator_bound(retro.matrix, comm)),
-        finals, comm)
-
-
-def _resolution_disturbance_check(observable_a: HermitianObservable,
-                                  observable_b: HermitianObservable,
-                                  resolution: float, bound: float,
-                                  finals: _FinalStatistics,
-                                  comm: np.ndarray) -> ResolutionDisturbanceCheck:
-    """The check from A's resolution, the outcome's |tr{R [A, B]}|^2 / 4 and
-    B's final-result statistics; ``comm`` is [A, B]."""
-    states = finals.states
-    abs_comm = np.abs(np.einsum("ij,ij->j", states.conj(), comm @ states))
-    averaged_bound = 0.25 * float(finals.weights @ abs_comm) ** 2
-
-    disturbance = finals.report.value
-    product = resolution * disturbance
-    slack = product - bound
-    chain_slack = averaged_bound - bound
-    return ResolutionDisturbanceCheck(
-        observable_a=observable_a.name or "A",
-        observable_b=observable_b.name or "B",
-        resolution=resolution, disturbance=disturbance,
-        product=product, bound=bound, slack=float(slack),
-        satisfied=bool(slack >= -SLACK_TOL),
-        averaged_bound=averaged_bound, chain_slack=float(chain_slack),
-        chain_ok=bool(chain_slack >= -SLACK_TOL),
-    )
+    return FinalStatistics(report=report, states=states, weights=weights)

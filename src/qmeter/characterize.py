@@ -4,7 +4,8 @@ For every outcome and every requested observable this collects the optimal
 estimate, its squared error (resolution) and the averaged disturbance; for
 requested observable pairs it adds the two uncertainty checks (resolution
 pair, and resolution against disturbance). Unreachable outcomes become status
-rows instead of aborting the run.
+rows instead of aborting the run. This is the one route from a Kraus set to
+these numbers: the CLI and every scenario read it.
 """
 
 from __future__ import annotations
@@ -12,21 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .backaction import (
-    DisturbanceReport,
-    ResolutionDisturbanceCheck,
-    _final_statistics,
-    _resolution_disturbance_check,
-)
-from .errors import UnknownObservable, UnreachableOutcome
+import numpy as np
+
+from .backaction import DisturbanceReport, FinalStatistics, final_statistics
+from .errors import DimensionMismatch, UnknownObservable, UnreachableOutcome
 from .measurement import (
     COMPLETENESS_TOL,
+    SLACK_TOL,
     CompletenessReport,
     KrausSet,
-    PairCheck,
+    clamp_variance,
     commutator_bound,
-    _estimate,
-    _pair_check,
+    moments,
     retrodictive_operator,
     validate_completeness,
 )
@@ -35,13 +33,56 @@ from .operators import HermitianObservable, commutator
 
 @dataclass(frozen=True)
 class ObservableRow:
-    """Estimate / resolution / disturbance of one observable for one outcome."""
+    """Estimate / resolution / disturbance of one observable for one outcome.
+
+    The estimate of the input eigenvalue is tr{A R}; its mean squared error
+    over the uniform eigenstate ensemble, the resolution, is the variance of A
+    under R.
+    """
 
     observable: str
     estimate: float
     resolution: float
     disturbance: float
     disturbance_report: DisturbanceReport
+
+
+@dataclass(frozen=True)
+class PairCheck:
+    """Joint-resolution uncertainty product for two observables on one outcome:
+    delta_A^2 * delta_B^2 >= |tr{R [A, B]}|^2 / 4."""
+
+    observable_a: str
+    observable_b: str
+    var_a: float
+    var_b: float
+    product: float
+    bound: float
+    slack: float
+    satisfied: bool
+
+
+@dataclass(frozen=True)
+class ResolutionDisturbanceCheck:
+    """Resolution-disturbance uncertainty for one outcome:
+    delta_A^2 * Delta_B^2 >= |tr{R_m [A, B]}|^2 / 4.
+
+    ``averaged_bound`` is the tighter intermediate bound obtained by averaging
+    |<r_mf|[A,B]|r_mf>| over final results before squaring; by the triangle
+    inequality it always dominates ``bound`` = |tr{R_m [A,B]}|^2 / 4.
+    """
+
+    observable_a: str
+    observable_b: str
+    resolution: float
+    disturbance: float
+    product: float
+    bound: float
+    slack: float
+    satisfied: bool
+    averaged_bound: float
+    chain_slack: float
+    chain_ok: bool
 
 
 @dataclass(frozen=True)
@@ -69,6 +110,36 @@ class CharacterizationReport:
     outcomes: tuple[OutcomeCharacterization, ...]
 
 
+def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable,
+                 var_a: float, var_b: float, bound: float, finals_b: FinalStatistics,
+                 comm: np.ndarray) -> tuple[PairCheck, ResolutionDisturbanceCheck]:
+    """Both checks from the resolutions, the outcome's |tr{R [A, B]}|^2 / 4 and
+    B's final-result statistics; ``comm`` is [A, B]."""
+    name_a, name_b = obs_a.name or "A", obs_b.name or "B"
+    product = var_a * var_b
+    slack = product - bound
+    resolution_check = PairCheck(
+        observable_a=name_a, observable_b=name_b, var_a=var_a, var_b=var_b,
+        product=product, bound=bound, slack=float(slack),
+        satisfied=bool(slack >= -SLACK_TOL))
+
+    states = finals_b.states
+    abs_comm = np.abs(np.einsum("ij,ij->j", states.conj(), comm @ states))
+    averaged_bound = 0.25 * float(finals_b.weights @ abs_comm) ** 2
+    disturbance = finals_b.report.value
+    product = var_a * disturbance
+    slack = product - bound
+    chain_slack = averaged_bound - bound
+    disturbance_check = ResolutionDisturbanceCheck(
+        observable_a=name_a, observable_b=name_b,
+        resolution=var_a, disturbance=disturbance,
+        product=product, bound=bound, slack=float(slack),
+        satisfied=bool(slack >= -SLACK_TOL),
+        averaged_bound=averaged_bound, chain_slack=float(chain_slack),
+        chain_ok=bool(chain_slack >= -SLACK_TOL))
+    return resolution_check, disturbance_check
+
+
 def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable],
                  pairs: Sequence[tuple[str, str]] = (),
                  completeness_tol: float = COMPLETENESS_TOL) -> CharacterizationReport:
@@ -77,39 +148,41 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
         for name in (a, b):
             if name not in observables:
                 raise UnknownObservable(f"pair references unknown observable {name!r}")
+    for name, obs in observables.items():
+        if obs.dim != kraus.dim:
+            raise DimensionMismatch(f"observable {name!r} has dimension {obs.dim}, "
+                                    f"the Kraus set has {kraus.dim}")
     completeness = validate_completeness(kraus, completeness_tol)
     comms = {(a, b): commutator(observables[a].matrix, observables[b].matrix)
              for a, b in pairs}
     outcomes = []
     for label, op in kraus.items():
         try:
-            # One retrodictive operator per outcome and one pass over the
-            # final results per observable; both pair checks read them.
             retro = retrodictive_operator(op)
-            estimates, finals, rows = {}, {}, []
-            for name, obs in observables.items():
-                est = estimates[name] = _estimate(retro, obs)
-                finals[name] = _final_statistics(op, retro.total_weight, obs)
-                dist = finals[name].report
-                rows.append(ObservableRow(
-                    observable=name, estimate=est.estimate, resolution=est.error,
-                    disturbance=dist.value, disturbance_report=dist))
-            pair_rows = []
-            for a, b in pairs:
-                obs_a, obs_b, comm = observables[a], observables[b], comms[a, b]
-                bound = float(commutator_bound(retro.matrix, comm))
-                var_a = estimates[a].error
-                pair_rows.append(PairRow(
-                    observable_a=a, observable_b=b,
-                    resolution_check=_pair_check(obs_a, obs_b, var_a, estimates[b].error, bound),
-                    disturbance_check=_resolution_disturbance_check(
-                        obs_a, obs_b, var_a, bound, finals[b], comm),
-                ))
-            status = "ok"
         except UnreachableOutcome:
-            rows, pair_rows, status = [], [], "unreachable"
+            outcomes.append(OutcomeCharacterization(
+                outcome=str(label), status="unreachable", rows=(), pairs=()))
+            continue
+        # One retrodictive operator per outcome and one pass over the final
+        # results per observable; both pair checks read them.
+        rows, finals = {}, {}
+        for name, obs in observables.items():
+            mean, var = moments(obs.matrix, retro.matrix)
+            finals[name] = final_statistics(op, retro.total_weight, obs)
+            dist = finals[name].report
+            rows[name] = ObservableRow(
+                observable=name, estimate=float(mean), resolution=clamp_variance(float(var)),
+                disturbance=dist.value, disturbance_report=dist)
+        pair_rows = []
+        for a, b in pairs:
+            resolution_check, disturbance_check = _pair_checks(
+                observables[a], observables[b], rows[a].resolution, rows[b].resolution,
+                float(commutator_bound(retro.matrix, comms[a, b])), finals[b], comms[a, b])
+            pair_rows.append(PairRow(observable_a=a, observable_b=b,
+                                     resolution_check=resolution_check,
+                                     disturbance_check=disturbance_check))
         outcomes.append(OutcomeCharacterization(
-            outcome=str(label), status=status, rows=tuple(rows), pairs=tuple(pair_rows)))
+            outcome=str(label), status="ok", rows=tuple(rows.values()), pairs=tuple(pair_rows)))
     return CharacterizationReport(
         completeness=completeness,
         declared_complete=kraus.complete,

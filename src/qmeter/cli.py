@@ -8,7 +8,8 @@ Commands:
                 eavesdrop, cloning)
 
 Exit codes: 0 success, 1 semantic failure (validation or relation violation),
-2 input error (parse, schema or out-of-range argument). Reports embed a
+2 input error (parse, schema or out-of-range argument, operands of different
+dimensions, a state that is not a unit vector). Reports embed a
 manifest with input digests, the tolerances that took effect and the seed;
 identical manifests give byte-identical reports apart from the timestamp.
 """
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .characterize import characterize
-from .errors import DimensionMismatch, QmeterError, SchemaError, UnknownObservable
-from .measurement import COMPLETENESS_TOL, validate_completeness
+from .errors import DimensionMismatch, NonUnitState, QmeterError, SchemaError, UnknownObservable
+from .measurement import COMPLETENESS_TOL, SLACK_TOL, validate_completeness
 from .operators import named_observable
 from .scenarios import SEED_LIMIT, ScenarioConfig, preset_kraus, require_integer, run_scenario
 from .serialization import (
@@ -44,12 +45,7 @@ from .serialization import (
     sha256_path,
     write_table,
 )
-from .verify import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    SLACK_TOL,
-    run_verification_suite,
-)
+from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_verification_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -190,7 +186,7 @@ def cmd_characterize(args) -> int:
             completeness=report.completeness,
             declared_complete=report.declared_complete,
             outcomes=tuple(o for o in report.outcomes if o.outcome in keep))
-    manifest = make_manifest(sys.argv[1:], inputs, {"tol": args.tol}, None, __version__)
+    manifest = make_manifest(args.argv, inputs, {"tol": args.tol}, None, __version__)
 
     header, rows = characterization_rows(report)
     widths = [max(len(str(h)), 12) for h in header]
@@ -222,7 +218,7 @@ def cmd_verify(args) -> int:
               f"min_slack={rel.min_slack:+.3e}")
     for ident in report.identities:
         print(f"{ident.name:<32} max_error={ident.max_error:.3e}")
-    manifest = make_manifest(sys.argv[1:], {}, {"slack_tol": args.tol},
+    manifest = make_manifest(args.argv, {}, {"slack_tol": args.tol},
                              args.seed, __version__)
     if args.out:
         _write_outputs(args.out, "verify", report, manifest, "json")
@@ -305,7 +301,7 @@ def cmd_scenario(args) -> int:
     config_obj = load_json(args.config)
     config = _scenario_config_from_dict(config_obj, seed_override=args.seed)
     report = run_scenario(config)
-    manifest = make_manifest(sys.argv[1:], {str(args.config): sha256_path(args.config)},
+    manifest = make_manifest(args.argv, {str(args.config): sha256_path(args.config)},
                              {}, config.seed, __version__)
     print(f"scenario {report.scenario}: {'PASS' if report.passed else 'FAIL'}")
     if args.out:
@@ -374,11 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded as the manifest's command
     try:
         return args.func(args)
-    except (SchemaError, UnknownObservable, FileNotFoundError) as exc:
+    except (SchemaError, UnknownObservable, DimensionMismatch, NonUnitState,
+            FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QmeterError as exc:

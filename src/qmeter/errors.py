@@ -21,10 +21,6 @@ class TruncationError(QmeterError):
     """A truncated representation loses more probability than allowed."""
 
 
-class UnknownOutcome(QmeterError):
-    """Outcome label not present in the measurement set."""
-
-
 class UnknownObservable(QmeterError):
     """Observable name not among the loaded or built-in observables."""
 

@@ -16,21 +16,8 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    UnknownOutcome,
-    UnreachableOutcome,
-)
-from .operators import (
-    HermitianObservable,
-    adjoint,
-    as_complex_matrix,
-    commutator,
-    inner,
-    require_same_dim,
-    require_square,
-)
+from .errors import DimensionMismatch, InternalConsistencyError, UnreachableOutcome
+from .operators import adjoint, as_complex_matrix, inner, require_square
 
 # Deviation allowed in || sum M'M - 1 ||_max for a set to count as complete.
 COMPLETENESS_TOL = 1e-9
@@ -108,15 +95,6 @@ class KrausSet:
     def items(self) -> Iterator[tuple[Hashable, np.ndarray]]:
         return iter(zip(self.labels, self.operators))
 
-    def index(self, label: Hashable) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownOutcome(f"no outcome labeled {label!r}") from None
-
-    def operator(self, label: Hashable) -> np.ndarray:
-        return self.operators[self.index(label)]
-
 
 @dataclass(frozen=True)
 class CompletenessReport:
@@ -151,15 +129,6 @@ class RetrodictiveOperator:
 
     matrix: np.ndarray
     total_weight: float = float("nan")
-
-    def variance(self, observable) -> float:
-        return clamp_variance(float(moments(self._observable(observable), self.matrix)[1]))
-
-    def _observable(self, observable) -> np.ndarray:
-        op = observable.matrix if isinstance(observable, HermitianObservable) else \
-            as_complex_matrix(observable, "observable")
-        require_same_dim(self.matrix, op)
-        return op
 
 
 # The functions below take one matrix or a (..., d, d) stack, with the same bits.
@@ -201,66 +170,3 @@ def retrodictive_operator(operator) -> RetrodictiveOperator:
     matrix = (gram + adjoint(gram)) / (2.0 * weight[..., None, None])
     matrix.setflags(write=False)
     return RetrodictiveOperator(matrix=matrix, total_weight=weight)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Best eigenvalue estimate for one outcome and its mean squared error."""
-
-    observable: str
-    estimate: float
-    error: float
-
-
-def optimal_estimate(operator, observable: HermitianObservable) -> EstimateReport:
-    """Error-minimizing estimate of the observable's input eigenvalue.
-
-    The estimate is tr{A R}; its mean squared error over the uniform
-    eigenstate ensemble is the variance of A under R.
-    """
-    return _estimate(retrodictive_operator(operator), observable)
-
-
-def _estimate(retro: RetrodictiveOperator, observable: HermitianObservable) -> EstimateReport:
-    require_same_dim(retro.matrix, observable.matrix)
-    mean, var = moments(observable.matrix, retro.matrix)
-    return EstimateReport(observable=observable.name or "A", estimate=float(mean),
-                          error=clamp_variance(float(var)))
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    """Joint-resolution uncertainty product for two observables on one outcome."""
-
-    observable_a: str
-    observable_b: str
-    var_a: float
-    var_b: float
-    product: float
-    bound: float
-    slack: float
-    satisfied: bool
-
-
-def resolution_pair_check(operator, observable_a: HermitianObservable,
-                          observable_b: HermitianObservable) -> PairCheck:
-    """Check delta_A^2 * delta_B^2 >= |tr{R [A, B]}|^2 / 4 for one outcome."""
-    retro = retrodictive_operator(operator)
-    require_same_dim(retro.matrix, observable_a.matrix, observable_b.matrix)
-    var_a = retro.variance(observable_a)
-    var_b = retro.variance(observable_b)
-    comm = commutator(observable_a.matrix, observable_b.matrix)
-    return _pair_check(observable_a, observable_b, var_a, var_b,
-                       float(commutator_bound(retro.matrix, comm)))
-
-
-def _pair_check(observable_a: HermitianObservable, observable_b: HermitianObservable,
-                var_a: float, var_b: float, bound: float) -> PairCheck:
-    product = var_a * var_b
-    slack = product - bound
-    return PairCheck(
-        observable_a=observable_a.name or "A",
-        observable_b=observable_b.name or "B",
-        var_a=var_a, var_b=var_b, product=product, bound=bound,
-        slack=float(slack), satisfied=bool(slack >= -SLACK_TOL),
-    )

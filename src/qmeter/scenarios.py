@@ -5,9 +5,9 @@ coherent-state projection, measure-and-prepare cloning). ``ScenarioConfig``
 is the one check of preset parameters, and ``preset_kraus`` builds the photon
 and QND sets from it for both ``run_scenario`` and the CLI; the eavesdropping
 scenario runs a seeded intercept-resend Monte Carlo against the analytic
-disturbances. All analytic numbers come from the measurement and back-action
-modules, never from scenario-local formulas, so every preset doubles as an
-integration test of the core.
+disturbances. Every estimate, resolution and disturbance comes from one
+``characterize`` call, never from scenario-local formulas, so every preset
+doubles as an integration test of the core.
 
 Randomness is counter-based (numpy Philox keyed by the seed). Trials are laid
 out in fixed blocks of 4096, each block drawing from its own substream at
@@ -29,21 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .backaction import averaged_disturbance
 from .characterize import CharacterizationReport, characterize
 from .errors import (
     CompletenessUnachievable,
     DimensionMismatch,
     IncompleteKrausSet,
     NonUnitState,
+    UnreachableOutcome,
 )
-from .measurement import (
-    COMPLETENESS_TOL,
-    KrausSet,
-    norm_trace,
-    optimal_estimate,
-    validate_completeness,
-)
+from .measurement import KrausSet, norm_trace
 from .operators import (
     BosonicSpace,
     HermitianObservable,
@@ -135,17 +129,15 @@ def classical_teleportation_preset(alpha: complex,
     state = coherent_state(alpha, space)
     op = np.outer(state.vector, state.vector.conj()) / math.sqrt(math.pi)
     ops = bosonic_operators(space)
-    quad_x = eigendecompose(ops.x, name="x")
-    quad_y = eigendecompose(ops.y, name="y")
-    est_x = optimal_estimate(op, quad_x)
-    est_y = optimal_estimate(op, quad_y)
-    dist_x = averaged_disturbance(op, quad_x)
-    dist_y = averaged_disturbance(op, quad_y)
+    report = characterize(KrausSet((op,), complete=False),
+                          {"x": eigendecompose(ops.x, name="x"),
+                           "y": eigendecompose(ops.y, name="y")})
+    x, y = report.outcomes[0].rows
     return TeleportationCharacterization(
         alpha=complex(alpha),
-        estimate=complex(est_x.estimate, est_y.estimate),
-        resolution_x=est_x.error, resolution_y=est_y.error,
-        disturbance_x=dist_x.value, disturbance_y=dist_y.value,
+        estimate=complex(x.estimate, y.estimate),
+        resolution_x=x.resolution, resolution_y=y.resolution,
+        disturbance_x=x.disturbance, disturbance_y=y.disturbance,
         tail_mass=state.tail_mass,
     )
 
@@ -352,17 +344,24 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     uniform-prior outcome probabilities tr{M'M}/d.
 
     With ``forwarding="reprepare"`` the eavesdropper sends the retrodicted
-    input mixture for its outcome instead of the collapsed state.
+    input mixture for its outcome instead of the collapsed state. Either way
+    an outcome that never occurs has nothing to forward: it raises
+    UnreachableOutcome before any trial is drawn.
     """
-    report = validate_completeness(config.kraus, COMPLETENESS_TOL)
-    if not config.kraus.complete or not report.passed:
-        raise IncompleteKrausSet(
-            f"eavesdropping requires a complete set (deviation {report.max_deviation:.3e})")
-
     kraus = config.kraus
+    bases = (config.observable_a, config.observable_b)
+    report = characterize(kraus, {"A": bases[0], "B": bases[1]})
+    completeness = report.completeness
+    if not kraus.complete or not completeness.passed:
+        raise IncompleteKrausSet(
+            f"eavesdropping requires a complete set (deviation {completeness.max_deviation:.3e})")
+    unreachable = [o.outcome for o in report.outcomes if o.status != "ok"]
+    if unreachable:
+        raise UnreachableOutcome(
+            f"eavesdropper outcome {', '.join(unreachable)} never occurs")
+
     d = kraus.dim
     n_out = len(kraus)
-    bases = (config.observable_a, config.observable_b)
 
     # Conditional tables. eve_p[c, i, m]: outcome probability for eigenstate i
     # of basis c. bob_p[c, i, m, f]: receiver result f given collapse by m.
@@ -377,8 +376,7 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
             if config.forwarding == "resend":
                 bob_p[c, :, m, :] = prob.T
             else:
-                weight = norm_trace(op)
-                gram = op.conj().T @ op / (weight if weight > 0 else 1.0)
+                gram = op.conj().T @ op / norm_trace(op)
                 retro = np.einsum("if,ij,jf->f", vecs.conj(), gram, vecs).real
                 bob_p[c, :, m, :] = np.maximum(retro, 0.0)[None, :]
     eve_cum = _cumulative(eve_p)
@@ -395,7 +393,7 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
         gaps2 = (obs.eigenvalues[:, None] - obs.eigenvalues[None, :]) ** 2
         for m, (label, op) in enumerate(kraus.items()):
             if config.forwarding == "resend":
-                analytic = averaged_disturbance(op, obs).value
+                analytic = report.outcomes[m].rows[c].disturbance
             else:
                 # input retrodiction p(i|m) against the re-prepared mixture
                 input_probs = eve_p[c, :, m] / eve_p[c, :, m].sum()
@@ -449,25 +447,18 @@ def cloning_error(states: Sequence, observable: HermitianObservable,
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-9:
             raise NonUnitState(f"state {i} has norm {norm!r}")
-        if vec.shape[0] != observable.dim:
-            raise DimensionMismatch(
-                f"state {i} has dimension {vec.shape[0]}, observable has {observable.dim}")
         prepared.append(vec)
-    ops = tuple(np.outer(v, v.conj()) for v in prepared)
-    kraus = KrausSet(operators=ops,
-                     labels=tuple(f"psi{i}" for i in range(len(ops))),
+    name = observable.name or "A"
+    kraus = KrausSet(operators=tuple(np.outer(v, v.conj()) for v in prepared),
+                     labels=tuple(f"psi{i}" for i in range(len(prepared))),
                      complete=check_completeness)
-    deviation = None
-    if check_completeness:
-        deviation = validate_completeness(kraus).max_deviation
-    rows = []
-    for label, op in kraus.items():
-        est = optimal_estimate(op, observable)
-        dist = averaged_disturbance(op, observable)
-        rows.append(CloneOutcomeRow(outcome=str(label), estimate=est.estimate,
-                                    resolution=est.error, disturbance=dist.value))
-    return CloningReport(observable=observable.name or "A", rows=tuple(rows),
-                         completeness_deviation=deviation)
+    report = characterize(kraus, {name: observable})
+    rows = tuple(CloneOutcomeRow(outcome=o.outcome, estimate=row.estimate,
+                                 resolution=row.resolution, disturbance=row.disturbance)
+                 for o in report.outcomes for row in o.rows)
+    return CloningReport(observable=name, rows=rows,
+                         completeness_deviation=(report.completeness.max_deviation
+                                                 if check_completeness else None))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backaction import disturbance_forms, sequence_statistics
-from .measurement import clamp_variances, commutator_bound, moments, retrodictive_operator, squared
+from .measurement import (
+    SLACK_TOL,
+    clamp_variances,
+    commutator_bound,
+    moments,
+    retrodictive_operator,
+    squared,
+)
 from .operators import HermitianObservable, commutator, eigendecompose, named_observable
 
 RELATION_NAMES = (
@@ -52,7 +59,7 @@ IDENTITY_NAMES = (
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 988
-SLACK_TOL = 1e-10
+# Absolute tolerance on the identity errors the suite reports.
 IDENTITY_TOL = 1e-10
 
 

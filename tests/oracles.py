@@ -3,10 +3,11 @@
 Each is an independent reference computation (outcome probabilities and
 post-measurement states from a density matrix, the quadratic error of an
 announced value, the coherent-grid completeness sum, the eigenvalue grouping
-loop, the verification suite one case and one final result at a time) or an
+loop, the verification suite one case and one final result at a time), an
 input generator (random complete Kraus sets, random density matrices,
-Kraus-set files). They live with the tests so that the public API holds only
-what the library and the CLI use.
+Kraus-set files) or ``single_outcome``, which reads ``characterize`` for one
+operator. They live with the tests so that the public API holds only what the
+library and the CLI use.
 """
 
 from __future__ import annotations
@@ -24,13 +25,20 @@ from qmeter import (
     KrausSet,
     QmeterError,
     VerificationReport,
+    characterize,
     commutator,
     disturbance_forms,
     eigendecompose,
     retrodictive_operator,
 )
-from qmeter.backaction import WEIGHT_FLOOR, _prepare
-from qmeter.measurement import UNREACHABLE_TRACE_FLOOR, clamp_variance, moments
+from qmeter.backaction import WEIGHT_FLOOR
+from qmeter.measurement import (
+    SLACK_TOL,
+    UNREACHABLE_TRACE_FLOOR,
+    clamp_variance,
+    moments,
+    outcome_weight,
+)
 from qmeter.operators import (
     DEGENERACY_GAP,
     BosonicSpace,
@@ -46,7 +54,6 @@ from qmeter.verify import (
     IDENTITY_NAMES,
     IDENTITY_TOL,
     RELATION_NAMES,
-    SLACK_TOL,
     random_hermitian,
     random_kraus_operator,
 )
@@ -81,14 +88,14 @@ def _check_density(rho, dim: int) -> np.ndarray:
 
 def outcome_probability(kraus: KrausSet, rho, label: Hashable) -> float:
     """tr{rho M'M} for the requested outcome."""
-    op = kraus.operator(label)
+    op = dict(kraus.items())[label]
     arr = _check_density(rho, kraus.dim)
     return float(np.trace(arr @ op.conj().T @ op).real)
 
 
 def post_measurement_state(kraus: KrausSet, rho, label: Hashable) -> np.ndarray:
     """State after outcome ``label``: M rho M' / p."""
-    op = kraus.operator(label)
+    op = dict(kraus.items())[label]
     arr = _check_density(rho, kraus.dim)
     prob = float(np.trace(arr @ op.conj().T @ op).real)
     if prob <= UNREACHABLE_TRACE_FLOOR:
@@ -97,6 +104,16 @@ def post_measurement_state(kraus: KrausSet, rho, label: Hashable) -> np.ndarray:
     out = op @ arr @ op.conj().T / prob
     out.setflags(write=False)
     return out
+
+
+def single_outcome(operator, *observables):
+    """characterize on the one-operator set {M}: the outcome's rows for the
+    observables, keyed "A", "B" in order, and for two observables the pair
+    (A, B)."""
+    named = dict(zip("AB", observables))
+    pairs = [("A", "B")] if len(named) == 2 else []
+    [outcome] = characterize(KrausSet((operator,), complete=False), named, pairs).outcomes
+    return outcome
 
 
 def quadratic_error(operator, observable: HermitianObservable, assigned_value: float) -> float:
@@ -216,7 +233,9 @@ def joint_retrodictions(operator, observable: HermitianObservable) -> list[Joint
     Final outcomes with rounding-level weight are omitted; the remaining
     weights sum to one up to the dropped mass.
     """
-    op, total = _prepare(operator, observable)
+    op = require_square(as_complex_matrix(operator, "M"), "M")
+    require_same_dim(op, observable.matrix)
+    total = float(outcome_weight(op))
     adj = op.conj().T
     out = []
     for f in range(observable.dim):
@@ -352,8 +371,8 @@ def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
     retro = retrodictive_operator(m)
     comm = commutator(obs_a.matrix, obs_b.matrix)
     est_a = float(moments(obs_a.matrix, retro.matrix)[0])
-    var_a = retro.variance(obs_a)
-    var_b = retro.variance(obs_b)
+    var_a = clamp_variance(float(moments(obs_a.matrix, retro.matrix)[1]))
+    var_b = clamp_variance(float(moments(obs_b.matrix, retro.matrix)[1]))
     trace_bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2 * bound_scale
 
     min_seq_pair = np.inf

@@ -16,12 +16,11 @@ from qmeter import (
     KrausSet,
     MixtureComponent,
     ScenarioConfig,
-    averaged_disturbance,
+    characterize,
     classical_teleportation_preset,
     eavesdrop_simulation,
     mixture_bound_check,
     named_observable,
-    optimal_estimate,
     photon_detector_preset,
     qnd_preset,
     run_verification_suite,
@@ -49,18 +48,17 @@ def relation_suite():
 def test_criterion_1_photon_detection():
     start = time.perf_counter()
     kraus = photon_detector_preset(BosonicSpace(2))
-    n_obs = named_observable("n", 2)
-    op = kraus.operator("n=1")
-    est = optimal_estimate(op, n_obs)
-    dist = averaged_disturbance(op, n_obs)
+    [outcome] = characterize(kraus, {"n": named_observable("n", 2)}).outcomes
+    [row] = outcome.rows
     elapsed = time.perf_counter() - start
-    ok = (abs(est.estimate - 1.0) <= 1e-12
-          and abs(est.error) <= 1e-12
-          and abs(dist.value - 1.0) <= 1e-12
+    ok = (outcome.outcome == "n=1"
+          and abs(row.estimate - 1.0) <= 1e-12
+          and abs(row.resolution) <= 1e-12
+          and abs(row.disturbance - 1.0) <= 1e-12
           and elapsed < 1.0)
     announce(1, ok,
-             f"photon detection estimate={est.estimate:.15f}, "
-             f"resolution={est.error:.2e}, disturbance={dist.value:.15f} "
+             f"photon detection estimate={row.estimate:.15f}, "
+             f"resolution={row.resolution:.2e}, disturbance={row.disturbance:.15f} "
              f"({elapsed:.2f}s)")
 
 
@@ -71,13 +69,14 @@ def test_criterion_2_qnd():
     sigma = 5.0
     kraus = qnd_preset(space, sigma, grid)
     completeness = validate_completeness(kraus, tol=1e-10)
-    n_obs = named_observable("n", 30)
+    report = characterize(kraus, {"n": named_observable("n", 30)})
 
     max_disturbance = 0.0
     max_oracle_gap = 0.0
-    for label, op in kraus.items():
-        max_disturbance = max(max_disturbance, averaged_disturbance(op, n_obs).value)
-        m = float(label.split("=")[1])
+    for outcome in report.outcomes:
+        [row] = outcome.rows
+        max_disturbance = max(max_disturbance, row.disturbance)
+        m = float(outcome.outcome.split("=")[1])
         per_level = [sum(math.exp(-((g - n) ** 2) / (2 * sigma ** 2)) for g in grid)
                      for n in range(30)]
         weights = [math.exp(-((m - n) ** 2) / (2 * sigma ** 2)) / per_level[n]
@@ -85,8 +84,7 @@ def test_criterion_2_qnd():
         total = sum(weights)
         mean = sum(n * w for n, w in enumerate(weights)) / total
         var = sum(n * n * w for n, w in enumerate(weights)) / total - mean ** 2
-        est = optimal_estimate(op, n_obs)
-        max_oracle_gap = max(max_oracle_gap, abs(est.error - var))
+        max_oracle_gap = max(max_oracle_gap, abs(row.resolution - var))
     elapsed = time.perf_counter() - start
     ok = (completeness.max_deviation <= 1e-10
           and max_disturbance <= 1e-12

@@ -7,21 +7,20 @@ import qmeter
 EXPORTS = [
     "BosonicOperators", "BosonicSpace", "CharacterizationReport", "CloningReport",
     "CoherentState", "CompletenessReport", "CompletenessUnachievable",
-    "DecompositionFailure", "DimensionMismatch", "DisturbanceRecord", "DisturbanceReport",
-    "EavesdropReport", "EstimateReport", "HermitianObservable", "IncompleteKrausSet",
-    "InternalConsistencyError", "InvalidWeights", "KrausSet",
-    "MixtureCheck", "MixtureComponent", "NonUnitState", "NotHermitian", "ObservableRow",
+    "DecompositionFailure", "DimensionMismatch", "DisturbanceRecord",
+    "DisturbanceReport", "EavesdropReport", "HermitianObservable", "IncompleteKrausSet",
+    "InternalConsistencyError", "InvalidWeights", "KrausSet", "MixtureCheck",
+    "MixtureComponent", "NonUnitState", "NotHermitian", "ObservableRow",
     "OutcomeCharacterization", "PairCheck", "PairRow", "PreconditionViolated",
-    "QmeterError", "ResolutionDisturbanceCheck", "RetrodictiveOperator", "ScenarioConfig",
-    "ScenarioReport", "SchemaError", "TeleportationCharacterization", "TruncationError",
-    "UnknownObservable", "UnknownOutcome", "UnreachableOutcome", "VerificationReport",
-    "averaged_disturbance", "bosonic_operators", "characterize",
-    "classical_teleportation_preset", "cloning_error", "coherent_state", "commutator",
-    "disturbance_forms", "eavesdrop_simulation", "eigendecompose",
-    "mixture_bound_check", "named_observable", "optimal_estimate",
+    "QmeterError", "ResolutionDisturbanceCheck", "RetrodictiveOperator",
+    "ScenarioConfig", "ScenarioReport", "SchemaError", "TeleportationCharacterization",
+    "TruncationError", "UnknownObservable", "UnreachableOutcome", "VerificationReport",
+    "bosonic_operators", "characterize", "classical_teleportation_preset",
+    "cloning_error", "coherent_state", "commutator", "disturbance_forms",
+    "eavesdrop_simulation", "eigendecompose", "mixture_bound_check", "named_observable",
     "photon_detector_preset", "qnd_preset", "random_hermitian", "random_kraus_operator",
-    "resolution_disturbance_check", "resolution_pair_check", "retrodictive_operator",
-    "run_scenario", "run_verification_suite", "sequence_statistics", "validate_completeness",
+    "retrodictive_operator", "run_scenario", "run_verification_suite",
+    "sequence_statistics", "validate_completeness",
 ]
 
 
@@ -29,4 +28,4 @@ def test_exported_names():
     exported = sorted(name for name in dir(qmeter) if not name.startswith("_")
                       and not isinstance(getattr(qmeter, name), types.ModuleType))
     assert exported == EXPORTS
-    assert len(EXPORTS) == 63
+    assert len(EXPORTS) == 57

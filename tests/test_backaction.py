@@ -7,25 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import eigenvalue_groups
+from oracles import eigenvalue_groups, single_outcome
 from qmeter import (
     DimensionMismatch,
     InternalConsistencyError,
     KrausSet,
-    UnreachableOutcome,
-    averaged_disturbance,
     characterize,
     commutator,
     disturbance_forms,
     eigendecompose,
     named_observable,
-    resolution_disturbance_check,
     retrodictive_operator,
     sequence_statistics,
 )
 from qmeter import backaction
 from qmeter.backaction import WEIGHT_FLOOR
-from qmeter.measurement import moments, norm_trace
+from qmeter.measurement import norm_trace
 from qmeter.operators import DEGENERACY_GAP, BosonicSpace
 from qmeter.scenarios import qnd_preset
 from qmeter.verify import random_hermitian, random_kraus_operator
@@ -48,6 +45,16 @@ def proj(vec):
 
 def eigen_index_for(obs, value):
     return int(np.argmin(np.abs(obs.eigenvalues - value)))
+
+
+def disturbance_report(m, obs):
+    """characterize's disturbance report of obs for the single operator m."""
+    return single_outcome(m, obs).rows[0].disturbance_report
+
+
+def disturbance_check(m, obs_a, obs_b):
+    """characterize's resolution-disturbance check of (obs_a, obs_b) for m."""
+    return single_outcome(m, obs_a, obs_b).pairs[0].disturbance_check
 
 
 def stats(m, obs_a, obs_b):
@@ -200,7 +207,7 @@ class TestConditionalDisturbance:
 
 class TestAveragedDisturbance:
     def test_photon_absorber(self):
-        report = averaged_disturbance(ABSORB, N2)
+        report = disturbance_report(ABSORB, N2)
         assert report.value == pytest.approx(1.0, abs=1e-15)
         assert abs(report.value - report.trace_form) < 1e-12
 
@@ -214,7 +221,7 @@ class TestAveragedDisturbance:
             for bf, vf in ((1.0, plus), (-1.0, minus)):
                 oracle += abs(np.vdot(vf, m @ vi)) ** 2 * (bf - bi) ** 2
         assert oracle == pytest.approx(2.0, abs=1e-12)
-        report = averaged_disturbance(m, SX)
+        report = disturbance_report(m, SX)
         assert report.value == pytest.approx(2.0, abs=1e-12)
         eigensum, trace_form = disturbance_forms(m, SX, 1.0)
         assert eigensum == pytest.approx(2.0, abs=1e-12)
@@ -222,14 +229,14 @@ class TestAveragedDisturbance:
 
     def test_commuting_operator_zero(self):
         diag = np.diag([0.3, 0.8, 0.2]).astype(complex)
-        report = averaged_disturbance(diag, N3)
+        report = disturbance_report(diag, N3)
         assert report.value <= 1e-12
 
     def test_records_resum_to_value(self):
         rng = np.random.Generator(np.random.Philox(key=47))
         for _ in range(40):
             dim = int(rng.integers(2, 6))
-            report = averaged_disturbance(
+            report = disturbance_report(
                 random_kraus_operator(dim, rng),
                 eigendecompose(random_hermitian(dim, rng)))
             resummed = sum(r.weight * r.total for r in report.records)
@@ -245,7 +252,7 @@ class TestAveragedDisturbance:
         rng = np.random.Generator(np.random.Philox(key=3))
         for _ in range(100):
             m = np.diag(rng.random(6) + 0.05).astype(complex)
-            report = averaged_disturbance(m, obs)
+            report = disturbance_report(m, obs)
             assert report.value == 0.0
             assert [r.final_value for r in report.records] == [0.0, 1.0, 2.0, 300.0]
             for r in report.records:
@@ -255,7 +262,7 @@ class TestAveragedDisturbance:
     def test_degenerate_observable_grouping(self):
         rng = np.random.Generator(np.random.Philox(key=53))
         obs = eigendecompose(np.diag([1.0, 1.0, 2.0]))
-        report = averaged_disturbance(random_kraus_operator(3, rng), obs)
+        report = disturbance_report(random_kraus_operator(3, rng), obs)
         assert [r.final_value for r in report.records] == [1.0, 2.0]
         assert sum(r.weight for r in report.records) == pytest.approx(1.0, abs=1e-10)
 
@@ -265,8 +272,8 @@ def decomposition(m, obs_a, obs_b):
     retro = retrodictive_operator(m)
     seqs = stats(m, obs_a, obs_b)
     recon = sum(s.joint.weight * proj(s.joint.state) for s in seqs)
-    estimate = float(moments(obs_a.matrix, retro.matrix)[0])
-    resolution = retro.variance(obs_a)
+    row = single_outcome(m, obs_a).rows[0]
+    estimate, resolution = row.estimate, row.resolution
     averaged = sum(s.joint.weight * s.var_a for s in seqs)
     spread = sum(s.joint.weight * (s.mean_a - estimate) ** 2 for s in seqs)
     gap = resolution - averaged
@@ -339,7 +346,7 @@ class TestResolutionDisturbance:
     def test_absorber_vs_quadrature(self):
         n_obs = named_observable("n", 5)
         x_obs = named_observable("x", 5)
-        check = resolution_disturbance_check(_absorber(5), n_obs, x_obs)
+        check = disturbance_check(_absorber(5), n_obs, x_obs)
         assert check.resolution == 0.0
         assert check.bound == pytest.approx(0.0, abs=1e-14)
         assert check.satisfied
@@ -347,7 +354,7 @@ class TestResolutionDisturbance:
 
     def test_yplus_projection(self):
         m = np.outer(KET0, YPLUS.conj())
-        check = resolution_disturbance_check(m, SZ, SX)
+        check = disturbance_check(m, SZ, SX)
         assert check.resolution == pytest.approx(1.0, abs=1e-12)
         assert check.disturbance == pytest.approx(2.0, abs=1e-12)
         assert check.bound == pytest.approx(1.0, abs=1e-12)
@@ -355,7 +362,7 @@ class TestResolutionDisturbance:
         assert check.averaged_bound >= check.bound - 1e-12
 
     def test_uninformative_equality(self):
-        check = resolution_disturbance_check(np.eye(2) / math.sqrt(2), SZ, SX)
+        check = disturbance_check(np.eye(2) / math.sqrt(2), SZ, SX)
         assert check.disturbance == pytest.approx(0.0, abs=1e-14)
         assert check.bound == pytest.approx(0.0, abs=1e-14)
         assert check.satisfied
@@ -368,7 +375,7 @@ class TestResolutionDisturbance:
             # build M commuting with B: random function of B
             coeffs = rng.random(dim) + 0.1
             m = (obs.eigenvectors * coeffs) @ obs.eigenvectors.conj().T
-            report = averaged_disturbance(m, obs)
+            report = disturbance_report(m, obs)
             assert report.value <= 1e-12
 
 
@@ -384,7 +391,7 @@ def test_disturbance_cross_check_survives_large_spectra():
     rng = np.random.Generator(np.random.Philox(key=97))
     big = eigendecompose(np.diag(np.arange(60.0) ** 1.5), name="big")
     for _ in range(10):
-        report = averaged_disturbance(random_kraus_operator(60, rng), big)
+        report = disturbance_report(random_kraus_operator(60, rng), big)
         assert abs(report.value - report.trace_form) <= 1e-10 * max(1.0, report.value)
 
 
@@ -398,14 +405,14 @@ def test_disturbance_cross_check_allows_trace_form_rounding():
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(300):
         m = np.diag(rng.random(6) + 0.05).astype(complex)
-        report = averaged_disturbance(m, LARGE_DEGENERATE)
+        report = disturbance_report(m, LARGE_DEGENERATE)
         assert report.value == 0.0
         assert report.trace_form == 0.0
 
 
 def forms_tolerance(eigensum):
     """The cross-check's allowed gap between the eigensum and the commutator norm."""
-    return backaction.IDENTITY_TOL * max(1.0, eigensum)
+    return backaction.CROSS_CHECK_TOL * max(1.0, eigensum)
 
 
 def disturbance_case(kind, dim, rng):
@@ -431,11 +438,11 @@ def disturbance_case(kind, dim, rng):
        st.sampled_from(["random", "degenerate", "commuting", "near-commuting"]))
 def test_commutator_norm_within_identity_tolerance(dim, seed, kind):
     # The commutator norm has no cancelling terms, so it agrees with the
-    # eigensum within IDENTITY_TOL * max(1, eigensum) and no rounding allowance
+    # eigensum within CROSS_CHECK_TOL * max(1, eigensum) and no rounding allowance
     # over spectra up to 1e4 and commuting M, where the trace form cannot.
     rng = np.random.Generator(np.random.Philox(key=seed))
     m, obs = disturbance_case(kind, dim, rng)
-    report = averaged_disturbance(m, obs)
+    report = disturbance_report(m, obs)
     assert report.trace_form >= 0.0
     assert abs(report.value - report.trace_form) <= forms_tolerance(report.value)
 
@@ -452,7 +459,7 @@ def test_disturbance_cross_check_negative_control(observable, op, monkeypatch):
     norm = backaction.norm_trace
     monkeypatch.setattr(backaction, "norm_trace", lambda m: norm(m) + offset)
     with pytest.raises(InternalConsistencyError, match="disagree"):
-        averaged_disturbance(op, observable)
+        disturbance_report(op, observable)
 
 
 def quadrature_disturbance_closed_form(coeffs):
@@ -468,12 +475,12 @@ def quadrature_disturbance_closed_form(coeffs):
 
 def test_qnd_quadrature_disturbance_matches_closed_form():
     # every outcome of the d=120 QND preset (sigma 5, grid -10..130)
-    x = named_observable("x", 120)
     kraus = qnd_preset(BosonicSpace(120), 5.0, range(-10, 131))
     assert len(kraus) == 141
-    for op in kraus.operators:
+    outcomes = characterize(kraus, {"x": named_observable("x", 120)}).outcomes
+    for op, outcome in zip(kraus.operators, outcomes):
         closed = quadrature_disturbance_closed_form(np.diag(op))
-        report = averaged_disturbance(op, x)
+        report = outcome.rows[0].disturbance_report
         assert report.value == pytest.approx(closed, rel=1e-12)
         # the cross-check's commutator norm is the closed form's ||[x, M]||_F^2
         assert report.trace_form == pytest.approx(closed, rel=1e-12)
@@ -489,7 +496,7 @@ def test_diagonal_quadrature_disturbance_matches_closed_form(dim, seed, zero_sha
     coeffs[rng.uniform(size=dim) < zero_share] = 0.0
     coeffs[rng.integers(dim)] = 1.0
     closed = quadrature_disturbance_closed_form(coeffs)
-    value = averaged_disturbance(np.diag(coeffs), named_observable("x", dim)).value
+    value = disturbance_report(np.diag(coeffs), named_observable("x", dim)).value
     assert value == pytest.approx(closed, rel=1e-12)
 
 
@@ -550,7 +557,7 @@ def record_tolerance(weight):
 def assert_matches_scalar_path(m, obs_a, obs_b):
     scale_a, scale_b = (max(1.0, float(np.max(np.abs(o.eigenvalues)))) for o in (obs_a, obs_b))
     records, averaged_bound = scalar_reference(m, obs_a, obs_b)
-    report = averaged_disturbance(m, obs_b)
+    report = disturbance_report(m, obs_b)
     assert [r.final_value for r in report.records] == [r[0] for r in records]
     for got, (_, weight, random, systematic) in zip(report.records, records):
         tol = record_tolerance(weight)
@@ -559,7 +566,7 @@ def assert_matches_scalar_path(m, obs_a, obs_b):
         assert got.random == pytest.approx(random, **close)
         assert got.systematic == pytest.approx(systematic, **close)
         assert got.total == got.random + got.systematic
-    check = resolution_disturbance_check(m, obs_a, obs_b)
+    check = disturbance_check(m, obs_a, obs_b)
     assert check.averaged_bound == pytest.approx(
         averaged_bound, rel=1e-9, abs=1e-9 * (scale_a * scale_b) ** 2)
 
@@ -590,7 +597,7 @@ def test_final_results_at_the_weight_floor(dim, seed):
     m = obs_b.eigenvectors @ np.diag(np.sqrt(c2)) @ random_unitary(dim, rng).conj().T
     kept = [j.eigen_index for j in joint_retrodictions(m, obs_b)]
     assert above in kept and below not in kept
-    values = [r.final_value for r in averaged_disturbance(m, obs_b).records]
+    values = [r.final_value for r in disturbance_report(m, obs_b).records]
     assert obs_b.eigenvalues[above] in values
     assert obs_b.eigenvalues[below] not in values
     assert_matches_scalar_path(m, obs_a, obs_b)
@@ -598,10 +605,7 @@ def test_final_results_at_the_weight_floor(dim, seed):
 
 def test_unreachable_outcome():
     silent = np.full((3, 3), 1e-9, dtype=complex)  # tr{M'M} = 9e-18
-    with pytest.raises(UnreachableOutcome):
-        averaged_disturbance(silent, N3)
-    with pytest.raises(UnreachableOutcome):
-        resolution_disturbance_check(silent, N3, N3)
+    assert single_outcome(silent, N3, N3).status == "unreachable"
     kraus = KrausSet(operators=(np.eye(3), silent), labels=("on", "off"), complete=False)
     report = characterize(kraus, {"n": N3}, [("n", "n")])
     assert [o.status for o in report.outcomes] == ["ok", "unreachable"]

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +237,11 @@ IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_litera
     ["validate", {**IDENTITY_SET, "dim": 2.0}],
     ["validate", {"dim": True, "outcomes": [
         {"label": "0", "matrix": {"rows": 1, "cols": 1, "data": [[1, 0]]}}]}],
+    ["validate", {"outcomes": [{"label": "0", "matrix": matrix_to_literal(np.eye(2))},
+                               {"label": "1", "matrix": matrix_to_literal(np.eye(3))}]}],
+    ["characterize", IDENTITY_SET, "--observables", {"dim": 3, "observables": [{"name": "n"}]}],
+    ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"},
+                  "states": [[[1.0, 0.0], [1.0, 0.0]]]}],
 ], ids=["verify-dims", "verify-dim-zero", "verify-dims-empty-range", "verify-dims-empty-list",
         "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
         "qnd-grid-nan-flag", "scenario-name",
@@ -251,10 +258,11 @@ IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_litera
         "scenario-photon-sigma", "scenario-photon-grid", "scenario-photon-unread-fields",
         "scenario-qnd-seed", "scenario-qnd-seed-flag", "scenario-unknown-field",
         "scenario-unknown-observable-key", "validate-rows-bool", "validate-dim-float",
-        "validate-dim-bool"])
+        "validate-dim-bool", "validate-mixed-dims", "characterize-observables-dim",
+        "scenario-state-not-unit"])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
-    argv = [write_json(tmp_path / "cfg.json", a) if isinstance(a, dict)
-            else a(tmp_path) if callable(a) else a for a in argv]
+    argv = [write_json(tmp_path / f"arg{i}.json", a) if isinstance(a, dict)
+            else a(tmp_path) if callable(a) else a for i, a in enumerate(argv)]
     assert main(argv) == 2
     assert "input error:" in capsys.readouterr().err
 
@@ -295,6 +303,22 @@ def test_non_finite_float_flags_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["characterize", "verify", "scenario"])
+def test_manifest_records_the_argv_given(command, tmp_path, monkeypatch):
+    # main(argv) records argv, not the arguments of the process that calls it
+    config = write_json(tmp_path / "photon.json", {"scenario": "photon", "dim": 3})
+    argv = {"characterize": ["characterize", "--preset", "photon", "--dim", "3"],
+            "verify": ["verify", "--dims", "2", "--samples", "2"],
+            "scenario": ["scenario", config]}[command] + ["--out", str(tmp_path / "out")]
+    monkeypatch.setattr(sys, "argv", ["gen.py", "SRC", "OUT"])
+    assert main(argv) == 0
+    [report] = (tmp_path / "out").glob("*.json")
+    assert json.loads(report.read_bytes())["manifest"]["command"] == argv
+    monkeypatch.setattr(sys, "argv", ["qmeter", *argv])
+    assert main() == 0
+    assert json.loads(report.read_bytes())["manifest"]["command"] == argv
 
 
 def test_manifest_records_only_applied_tolerances(tmp_path):
@@ -476,11 +500,12 @@ def test_report_bytes_identical_apart_from_timestamp(tmp_path):
             {"label": "0", "matrix": e0}, {"label": "1", "matrix": e1}]},
         "trials": 8192, "seed": 5,
     })
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["scenario", config, "--out", str(out1)]) == 0
-    assert main(["scenario", config, "--out", str(out2)]) == 0
-    p1 = json.loads((out1 / "scenario.json").read_bytes())
-    p2 = json.loads((out2 / "scenario.json").read_bytes())
+    # the same command twice, since the manifest records the --out path
+    out = tmp_path / "r"
+    assert main(["scenario", config, "--out", str(out)]) == 0
+    p1 = json.loads((out / "scenario.json").read_bytes())
+    assert main(["scenario", config, "--out", str(out)]) == 0
+    p2 = json.loads((out / "scenario.json").read_bytes())
     p1["manifest"]["timestamp"] = p2["manifest"]["timestamp"] = "masked"
     assert p1 == p2
 
@@ -508,12 +533,16 @@ class TestScenarioTableOutputs:
         assert len(lines) == 3  # header + two outcomes
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 class TestShippedConfigs:
-    @pytest.mark.parametrize("name", ["eavesdrop_sz.json", "classical_teleport.json",
-                                      "qnd_sigma5.json"])
+    def test_every_scenario_has_a_config(self):
+        scenarios = {json.loads(path.read_bytes())["scenario"] for path in CONFIGS.glob("*.json")}
+        assert scenarios == {"photon", "qnd", "classical_teleport", "eavesdrop", "cloning"}
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))
     def test_config_runs(self, name, tmp_path):
-        import pathlib
-        config = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
         out = tmp_path / "out"
-        assert main(["scenario", str(config), "--out", str(out)]) == 0
+        assert main(["scenario", str(CONFIGS / name), "--out", str(out)]) == 0
         assert (out / "scenario.json").exists()

@@ -11,16 +11,15 @@ from oracles import (
     quadratic_error,
     random_complete_kraus_set,
     random_density,
+    single_outcome,
 )
 from qmeter import (
     DimensionMismatch,
     KrausSet,
-    UnknownOutcome,
     UnreachableOutcome,
+    characterize,
     eigendecompose,
     named_observable,
-    optimal_estimate,
-    resolution_pair_check,
     retrodictive_operator,
     validate_completeness,
 )
@@ -93,7 +92,7 @@ class TestOutcomeProbability:
 
     def test_unknown_label(self):
         ks = KrausSet(operators=(np.eye(2),), labels=("a",))
-        with pytest.raises(UnknownOutcome):
+        with pytest.raises(KeyError):
             outcome_probability(ks, np.eye(2) / 2, "b")
 
     def test_invalid_state(self):
@@ -167,29 +166,41 @@ class TestRetrodictiveOperator:
 
 class TestOptimalEstimate:
     def test_photon_absorber_perfect_resolution(self):
-        report = optimal_estimate(ABSORB, N2)
+        report = single_outcome(ABSORB, N2).rows[0]
         assert report.estimate == pytest.approx(1.0, abs=1e-15)
-        assert report.error == 0.0
+        assert report.resolution == 0.0
 
     def test_diagonal_damping_moments(self):
         # oracle: moments of diag(4/5, 1/5) against n eigenvalues (0, 1)
-        report = optimal_estimate(np.diag([1.0, 0.5]), N2)
+        report = single_outcome(np.diag([1.0, 0.5]), N2).rows[0]
         assert report.estimate == pytest.approx(0.2, abs=1e-15)
-        assert report.error == pytest.approx(0.16, abs=1e-15)
+        assert report.resolution == pytest.approx(0.16, abs=1e-15)
 
     def test_uninformative_ensemble_variance(self):
-        report = optimal_estimate(np.eye(2) / math.sqrt(2), SZ)
+        report = single_outcome(np.eye(2) / math.sqrt(2), SZ).rows[0]
         assert report.estimate == pytest.approx(0.0, abs=1e-15)
-        assert report.error == pytest.approx(1.0, abs=1e-15)
+        assert report.resolution == pytest.approx(1.0, abs=1e-15)
 
     def test_estimate_within_spectrum(self):
         rng = np.random.Generator(np.random.Philox(key=31))
         for _ in range(50):
             dim = int(rng.integers(2, 6))
             obs = eigendecompose(random_hermitian(dim, rng))
-            report = optimal_estimate(random_kraus_operator(dim, rng), obs)
+            report = single_outcome(random_kraus_operator(dim, rng), obs).rows[0]
             assert obs.eigenvalues[0] - 1e-10 <= report.estimate <= obs.eigenvalues[-1] + 1e-10
-            assert report.error >= 0.0
+            assert report.resolution >= 0.0
+
+    @pytest.mark.parametrize("ops", [(ABSORB,), (np.zeros((2, 2)),)],
+                             ids=["reachable", "unreachable"])
+    def test_observable_dimension_checked_up_front(self, ops):
+        # every observable is checked against the set before any outcome is
+        # read, also when no outcome is reachable
+        n3 = eigendecompose(np.diag([0.0, 1.0, 2.0]), name="n3")
+        kraus = KrausSet(operators=ops, complete=False)
+        with pytest.raises(DimensionMismatch, match="'n3' has dimension 3"):
+            characterize(kraus, {"sz": SZ, "n3": n3})
+        with pytest.raises(DimensionMismatch):
+            characterize(kraus, {"sz": SZ, "n3": n3}, [("sz", "n3")])
 
 
 class TestQuadraticError:
@@ -206,9 +217,9 @@ class TestQuadraticError:
             dim = int(rng.integers(2, 6))
             m = random_kraus_operator(dim, rng)
             obs = eigendecompose(random_hermitian(dim, rng))
-            report = optimal_estimate(m, obs)
+            report = single_outcome(m, obs).rows[0]
             assert quadratic_error(m, obs, report.estimate) == pytest.approx(
-                report.error, abs=1e-12)
+                report.resolution, abs=1e-12)
 
     def test_estimator_optimality(self):
         # 500 random (M, A) pairs x 20 assigned values: the optimum never loses
@@ -217,7 +228,7 @@ class TestQuadraticError:
             dim = int(rng.integers(2, 6))
             m = random_kraus_operator(dim, rng)
             obs = eigendecompose(random_hermitian(dim, rng))
-            best = quadratic_error(m, obs, optimal_estimate(m, obs).estimate)
+            best = quadratic_error(m, obs, single_outcome(m, obs).rows[0].estimate)
             lo, hi = obs.eigenvalues[0], obs.eigenvalues[-1]
             for assigned in rng.uniform(lo - 1.0, hi + 1.0, size=20):
                 assert quadratic_error(m, obs, float(assigned)) >= best - 1e-12
@@ -225,7 +236,7 @@ class TestQuadraticError:
 
 class TestResolutionPair:
     def test_traceless_commutator_bound(self):
-        check = resolution_pair_check(np.eye(2) / math.sqrt(2), SZ, SX)
+        check = single_outcome(np.eye(2) / math.sqrt(2), SZ, SX).pairs[0].resolution_check
         assert check.var_a == pytest.approx(1.0, abs=1e-15)
         assert check.var_b == pytest.approx(1.0, abs=1e-15)
         assert check.bound == pytest.approx(0.0, abs=1e-15)
@@ -234,13 +245,13 @@ class TestResolutionPair:
     def test_yplus_projection_saturates(self):
         # oracle: R = |y+><y+|; <y+|sy|y+> = 1 so the bound is exactly 1
         m = np.outer(KET0, YPLUS.conj())
-        check = resolution_pair_check(m, SZ, SX)
+        check = single_outcome(m, SZ, SX).pairs[0].resolution_check
         assert check.var_a == pytest.approx(1.0, abs=1e-12)
         assert check.bound == pytest.approx(1.0, abs=1e-12)
         assert check.satisfied
 
     def test_projector_zero_on_both_sides(self):
-        check = resolution_pair_check(proj(KET0), SZ, SX)
+        check = single_outcome(proj(KET0), SZ, SX).pairs[0].resolution_check
         assert check.var_a == 0.0
         assert check.bound == pytest.approx(0.0, abs=1e-15)
         assert check.satisfied
@@ -249,10 +260,10 @@ class TestResolutionPair:
         rng = np.random.Generator(np.random.Philox(key=43))
         for dim in range(2, 7):
             for _ in range(100):
-                check = resolution_pair_check(
+                check = single_outcome(
                     random_kraus_operator(dim, rng),
                     eigendecompose(random_hermitian(dim, rng)),
-                    eigendecompose(random_hermitian(dim, rng)))
+                    eigendecompose(random_hermitian(dim, rng))).pairs[0].resolution_check
                 assert check.slack >= -1e-10
 
 
@@ -277,9 +288,9 @@ class TestParabolaIdentity:
             dim = int(rng.integers(2, 6))
             m = random_kraus_operator(dim, rng)
             obs = eigendecompose(random_hermitian(dim, rng))
-            report = optimal_estimate(m, obs)
+            report = single_outcome(m, obs).rows[0]
             for c in rng.uniform(-3, 3, size=5):
-                expected = report.error + (float(c) - report.estimate) ** 2
+                expected = report.resolution + (float(c) - report.estimate) ** 2
                 assert quadratic_error(m, obs, float(c)) == pytest.approx(
                     expected, abs=1e-10)
 
@@ -287,5 +298,6 @@ class TestParabolaIdentity:
 def test_retrodictive_expectation_accepts_raw_matrices():
     retro = retrodictive_operator(np.diag([1.0, 0.5]))
     sz_matrix = np.diag([1.0, -1.0])
-    assert moments(sz_matrix, retro.matrix)[0] == pytest.approx(0.6, abs=1e-15)
-    assert retro.variance(sz_matrix) == pytest.approx(1.0 - 0.36, abs=1e-12)
+    mean, var = moments(sz_matrix, retro.matrix)
+    assert mean == pytest.approx(0.6, abs=1e-15)
+    assert var == pytest.approx(1.0 - 0.36, abs=1e-12)

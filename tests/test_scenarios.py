@@ -1,27 +1,28 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import coherent_grid_completeness, random_complete_kraus_set
+from oracles import coherent_grid_completeness, random_complete_kraus_set, single_outcome
 from qmeter import (
     BosonicSpace,
     CompletenessUnachievable,
+    DimensionMismatch,
     IncompleteKrausSet,
     KrausSet,
     NonUnitState,
     ScenarioConfig,
     TruncationError,
+    UnreachableOutcome,
+    characterize,
     classical_teleportation_preset,
     cloning_error,
     eavesdrop_simulation,
     eigendecompose,
     named_observable,
-    optimal_estimate,
-    averaged_disturbance,
     photon_detector_preset,
     qnd_preset,
-    resolution_disturbance_check,
     run_scenario,
     validate_completeness,
 )
@@ -48,27 +49,27 @@ class TestPhotonPreset:
         space = BosonicSpace(40)
         kraus = photon_detector_preset(space)
         assert not kraus.complete
-        n_obs = named_observable("n", 40)
-        op = kraus.operator("n=1")
-        est = optimal_estimate(op, n_obs)
-        dist = averaged_disturbance(op, n_obs)
-        assert est.estimate == pytest.approx(1.0, abs=1e-12)
-        assert est.error == pytest.approx(0.0, abs=1e-12)
-        assert dist.value == pytest.approx(1.0, abs=1e-12)
+        [outcome] = characterize(kraus, {"n": named_observable("n", 40)}).outcomes
+        assert outcome.outcome == "n=1"
+        [row] = outcome.rows
+        assert row.estimate == pytest.approx(1.0, abs=1e-12)
+        assert row.resolution == pytest.approx(0.0, abs=1e-12)
+        assert row.disturbance == pytest.approx(1.0, abs=1e-12)
 
     def test_uncertainty_vs_quadrature(self):
-        space = BosonicSpace(40)
-        op = photon_detector_preset(space).operator("n=1")
-        check = resolution_disturbance_check(op, named_observable("n", 40),
-                                             named_observable("x", 40))
+        report = characterize(photon_detector_preset(BosonicSpace(40)),
+                              {"n": named_observable("n", 40), "x": named_observable("x", 40)},
+                              [("n", "x")])
+        check = report.outcomes[0].pairs[0].disturbance_check
         assert check.satisfied
         assert check.chain_ok
 
     def test_minimal_space(self):
-        op = photon_detector_preset(BosonicSpace(2)).operator("n=1")
-        n_obs = named_observable("n", 2)
-        assert optimal_estimate(op, n_obs).estimate == pytest.approx(1.0, abs=1e-15)
-        assert averaged_disturbance(op, n_obs).value == pytest.approx(1.0, abs=1e-15)
+        report = characterize(photon_detector_preset(BosonicSpace(2)),
+                              {"n": named_observable("n", 2)})
+        [row] = report.outcomes[0].rows
+        assert row.estimate == pytest.approx(1.0, abs=1e-15)
+        assert row.disturbance == pytest.approx(1.0, abs=1e-15)
 
 
 class TestQndPreset:
@@ -77,30 +78,27 @@ class TestQndPreset:
         kraus = qnd_preset(space, 5.0, list(range(-10, 41)))
         report = validate_completeness(kraus)
         assert report.max_deviation <= 1e-12
-        n_obs = named_observable("n", 30)
-        for label, op in kraus.items():
-            assert averaged_disturbance(op, n_obs).value <= 1e-12
+        for outcome in characterize(kraus, {"n": named_observable("n", 30)}).outcomes:
+            assert outcome.rows[0].disturbance <= 1e-12
 
     def test_resolution_matches_direct_sum_oracle(self):
         space = BosonicSpace(30)
         grid = list(range(-10, 41))
         kraus = qnd_preset(space, 5.0, grid)
-        n_obs = named_observable("n", 30)
         dist = qnd_oracle_distribution(10.0, 5.0, grid, 30)
         mean = sum(n * p for n, p in enumerate(dist))
         var = sum(n * n * p for n, p in enumerate(dist)) - mean ** 2
-        est = optimal_estimate(kraus.operator("m=10"), n_obs)
+        est = single_outcome(dict(kraus.items())["m=10"], named_observable("n", 30)).rows[0]
         assert est.estimate == pytest.approx(mean, abs=1e-10)
-        assert est.error == pytest.approx(var, abs=1e-10)
+        assert est.resolution == pytest.approx(var, abs=1e-10)
 
     def test_wide_pointer_approaches_uniform(self):
         levels = 12
         grid = list(range(-5, 18))
         kraus = qnd_preset(BosonicSpace(levels), 1e8, grid)
-        n_obs = named_observable("n", levels)
-        est = optimal_estimate(kraus.operator("m=5"), n_obs)
+        est = single_outcome(dict(kraus.items())["m=5"], named_observable("n", levels)).rows[0]
         uniform_var = (levels ** 2 - 1) / 12.0
-        assert est.error == pytest.approx(uniform_var, abs=1e-6)
+        assert est.resolution == pytest.approx(uniform_var, abs=1e-6)
 
     def test_unreachable_level_rejected(self):
         with pytest.raises(CompletenessUnachievable):
@@ -131,9 +129,9 @@ class TestClassicalTeleportation:
         n_obs = named_observable("x", 40)
         for scale in (1.0, 1 / math.sqrt(math.pi), 3.7):
             op = scale * np.outer(vec, vec.conj())
-            est = optimal_estimate(op, n_obs)
+            est = single_outcome(op, n_obs).rows[0]
             assert est.estimate == pytest.approx(0.7, abs=1e-9)
-            assert est.error == pytest.approx(0.25, abs=1e-9)
+            assert est.resolution == pytest.approx(0.25, abs=1e-9)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
@@ -224,6 +222,18 @@ class TestEavesdrop:
         partial = KrausSet(operators=(np.outer([1, 0], [0, 1]),), complete=False)
         with pytest.raises(IncompleteKrausSet):
             eavesdrop_simulation(self.config(partial))
+
+    @pytest.mark.parametrize("forwarding", ["resend", "reprepare"])
+    def test_unreachable_outcome_rejected_before_sampling(self, forwarding, monkeypatch):
+        # a zero operator completes the set but never occurs: neither mode may
+        # divide by its zero weight or draw a trial
+        kraus = KrausSet(operators=(np.eye(2, dtype=complex), np.zeros((2, 2))),
+                         labels=("id", "never"), complete=True)
+        monkeypatch.setattr(scenarios, "_sample_blocks", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnreachableOutcome, match="never"):
+                eavesdrop_simulation(self.config(kraus, forwarding=forwarding))
 
     def test_random_configurations_agree_with_analytic(self):
         rng = np.random.Generator(np.random.Philox(key=83))
@@ -350,13 +360,19 @@ class TestCloning:
                 assert row.disturbance == pytest.approx(expected_dist, abs=1e-12)
         for k in range(2):
             op = np.outer(SY.eigenvectors[:, k], SY.eigenvectors[:, k].conj())
-            check = resolution_disturbance_check(op, SZ, SX)
+            check = single_outcome(op, SZ, SX).pairs[0].disturbance_check
             assert check.bound == pytest.approx(1.0, abs=1e-12)
             assert check.satisfied
 
     def test_non_unit_state_rejected(self):
         with pytest.raises(NonUnitState):
             cloning_error([np.array([1.0, 1.0])], SZ)
+
+    def test_state_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            cloning_error([np.array([1.0, 0.0, 0.0])], SZ)
+        with pytest.raises(DimensionMismatch):
+            cloning_error([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])], SZ)
 
 
 class TestRunScenario:
