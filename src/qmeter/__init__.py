@@ -30,10 +30,8 @@ from .errors import (
     DimensionMismatch,
     IncompleteKrausSet,
     InternalConsistencyError,
-    InvalidWeights,
     NonUnitState,
     NotHermitian,
-    PreconditionViolated,
     QmeterError,
     SchemaError,
     TruncationError,
@@ -47,7 +45,6 @@ from .measurement import (
     retrodictive_operator,
     validate_completeness,
 )
-from .mixture import MixtureCheck, MixtureComponent, mixture_bound_check
 from .operators import (
     BosonicOperators,
     BosonicSpace,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError
-from .measurement import clamp_variance, norm_trace, outcome_weight
+from .measurement import norm_trace, outcome_weight
 from .operators import HermitianObservable, adjoint, commutator, inner, require_square
 
 # Final outcomes whose weight w_m(B_f) falls below this floor are dropped
@@ -28,14 +28,12 @@ WEIGHT_FLOOR = 1e-14
 # cross-checks it, relative above unit scale.
 CROSS_CHECK_TOL = 1e-10
 
-# The final-result statistics have two paths; both start from M'|B_f>, the
-# unnormalized r_mf. sequence_statistics, which verify reads, forms it with one
-# matrix-vector product (gemv) per final result, over a whole stack of cases at
-# once. That is the arithmetic of verify's reports, which keep the argmax of
-# identity errors that are pure rounding noise: one matrix product M'V (gemm)
-# differs from the column products in the last bit at d = 2, 3, 5 and 6, and
-# would move them. final_statistics, which characterize reads, keeps the
-# gemm: at d=120 the 120 column products take 0.58 ms against 0.22 ms for M'V.
+# Two independent paths give the final-result statistics. final_statistics,
+# which characterize reads, takes them from the transition amplitudes
+# S = V_B'MV_B alone: r_mf gives B_i the probability |S_fi|^2 / q_f, with q_f
+# the row sum, so no state vector is formed. sequence_statistics, which verify
+# reads, forms each M'|B_f> with one matrix-vector product per final result,
+# over a whole stack of cases at once: the rounding that verify's reports pin.
 
 
 def _apply(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -126,14 +124,18 @@ class DisturbanceReport:
     records: tuple[DisturbanceRecord, ...]
 
 
-def disturbance_eigensum(op: np.ndarray, observable: HermitianObservable, total) -> np.ndarray:
-    """DisturbanceReport.value for one M or a (..., d, d) stack; ``total`` is tr{M'M}."""
-    vals = observable.eigenvalues
+def transition_amplitudes(op: np.ndarray, observable: HermitianObservable) -> np.ndarray:
+    """S = V_B'MV_B, with <B_f|M|B_i> in row f and column i, for one M or a
+    (..., d, d) stack."""
     vecs = observable.eigenvectors
-    sandwich = adjoint(vecs) @ op @ vecs                    # <B_f|M|B_i>
-    weights2 = np.abs(sandwich) ** 2
+    return adjoint(vecs) @ op @ vecs
+
+
+def disturbance_eigensum(w2: np.ndarray, observable: HermitianObservable, total) -> np.ndarray:
+    """DisturbanceReport.value from w2 = |S|^2; ``total`` is tr{M'M}."""
+    vals = observable.eigenvalues
     gaps2 = (vals[..., :, None] - vals[..., None, :]) ** 2  # (B_f - B_i)^2
-    terms = weights2 * gaps2
+    terms = w2 * gaps2
     return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1) / total
 
 
@@ -148,43 +150,41 @@ def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
     trace_form = (np.trace(adj @ b2 @ op, axis1=-2, axis2=-1)
                   + np.trace(b2 @ adj @ op, axis1=-2, axis2=-1)
                   - 2.0 * np.trace(adj @ b @ op @ b, axis1=-2, axis2=-1)).real / total
-    return disturbance_eigensum(op, observable, total), trace_form
+    w2 = np.abs(transition_amplitudes(op, observable)) ** 2
+    return disturbance_eigensum(w2, observable, total), trace_form
 
 
 class FinalStatistics(NamedTuple):
-    """One outcome's averaged disturbance of B and the joint retrodictions it
-    averages: ``states[:, k]`` is r_mf for the k-th reachable final result and
-    ``weights[k]`` its w_m(B_f)."""
+    """One outcome's averaged disturbance of B, the amplitudes S = V_B'MV_B it
+    was read from, and ``kept``, the final results of weight >= WEIGHT_FLOOR."""
 
     report: DisturbanceReport
-    states: np.ndarray
-    weights: np.ndarray
+    amplitudes: np.ndarray
+    kept: np.ndarray
 
 
 def final_statistics(op: np.ndarray, total: float,
                      observable: HermitianObservable) -> FinalStatistics:
-    """Averaged disturbance with every final result handled at once.
-
-    ``op`` is M and ``total`` is tr{M'M}; the caller has checked dimensions
-    and reachability.
-    """
-    eigensum = float(disturbance_eigensum(op, observable, total))
+    """Averaged disturbance and its records, read from w2 = |S|^2 alone: final
+    result f has the weight q_f / tr{M'M}, q_f the row sum, and B's mean and
+    variance in r_mf are sums over i weighted by w2_fi / q_f, never negative.
+    ``total`` is tr{M'M}; the caller has checked dimensions and reachability."""
+    amplitudes = transition_amplitudes(op, observable)
+    w2 = np.abs(amplitudes) ** 2
+    eigensum = float(disturbance_eigensum(w2, observable, total))
     norm = float(norm_trace(commutator(observable.matrix, op)) / total)
     if abs(eigensum - norm) > CROSS_CHECK_TOL * max(1.0, eigensum):
         raise InternalConsistencyError(
             f"disturbance eigenbasis sum {eigensum:.12e} and commutator norm "
             f"{norm:.12e} disagree")
 
-    u = op.conj().T @ observable.eigenvectors           # column f: M'|B_f>
-    q = np.einsum("ij,ij->j", u.conj(), u).real
-    weights = q / total
-    kept = weights >= WEIGHT_FLOOR
-    weights = weights[kept]
-    states = u[:, kept] / np.sqrt(q[kept])
-    b_states = observable.matrix @ states
-    means = np.einsum("ij,ij->j", states.conj(), b_states).real
-    shifted = b_states - states * means
-    variances = np.einsum("ij,ij->j", shifted.conj(), shifted).real
+    q = w2.sum(axis=1)
+    kept = q / total >= WEIGHT_FLOOR
+    weights = q[kept] / total
+    probs = w2[kept] / q[kept, None]    # row f: B_i's probability in r_mf
+    vals = observable.eigenvalues
+    means = probs @ vals
+    variances = np.sum(probs * (vals - means[:, None]) ** 2, axis=1)
 
     # Moments of B within each (near-)degenerate final value. The random part
     # is the weighted variance of the mixture, summed from non-negative terms:
@@ -202,12 +202,11 @@ def final_statistics(op: np.ndarray, total: float,
                                mu1.tolist(), random.tolist()):
         if w <= 0.0:
             continue
-        random_part = clamp_variance(r)
         systematic = (value - m1) ** 2
         records.append(DisturbanceRecord(
-            final_value=value, weight=w, total=random_part + systematic,
-            random=random_part, systematic=systematic))
+            final_value=value, weight=w, total=r + systematic,
+            random=r, systematic=systematic))
     report = DisturbanceReport(observable=observable.name or "B",
                                value=eigensum, trace_form=norm,
                                records=tuple(records))
-    return FinalStatistics(report=report, states=states, weights=weights)
+    return FinalStatistics(report=report, amplitudes=amplitudes, kept=kept)

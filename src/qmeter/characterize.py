@@ -11,11 +11,11 @@ these numbers: the CLI and every scenario read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .backaction import DisturbanceReport, FinalStatistics, final_statistics
+from .backaction import DisturbanceReport, FinalStatistics, final_statistics, transition_amplitudes
 from .errors import DimensionMismatch, UnknownObservable, UnreachableOutcome
 from .measurement import (
     COMPLETENESS_TOL,
@@ -110,11 +110,11 @@ class CharacterizationReport:
     outcomes: tuple[OutcomeCharacterization, ...]
 
 
-def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable,
-                 var_a: float, var_b: float, bound: float, finals_b: FinalStatistics,
-                 comm: np.ndarray) -> tuple[PairCheck, ResolutionDisturbanceCheck]:
-    """Both checks from the resolutions, the outcome's |tr{R [A, B]}|^2 / 4 and
-    B's final-result statistics; ``comm`` is [A, B]."""
+def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable, var_a: float,
+                 var_b: float, bound: float, finals_b: FinalStatistics, total: float,
+                 comm_b: np.ndarray) -> tuple[PairCheck, ResolutionDisturbanceCheck]:
+    """Both checks from the resolutions, the outcome's |tr{R [A, B]}|^2 / 4, B's
+    final-result statistics, ``total`` = tr{M'M} and ``comm_b`` = V_B'[A, B]V_B."""
     name_a, name_b = obs_a.name or "A", obs_b.name or "B"
     product = var_a * var_b
     slack = product - bound
@@ -123,9 +123,10 @@ def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable,
         product=product, bound=bound, slack=float(slack),
         satisfied=bool(slack >= -SLACK_TOL))
 
-    states = finals_b.states
-    abs_comm = np.abs(np.einsum("ij,ij->j", states.conj(), comm @ states))
-    averaged_bound = 0.25 * float(finals_b.weights @ abs_comm) ** 2
+    # <u_f|[A,B]|u_f> for u_f = M'|B_f>, the unnormalized r_mf, from row f of S
+    s = finals_b.amplitudes[finals_b.kept]
+    abs_comm = np.abs(np.sum(s @ comm_b * s.conj(), axis=1))
+    averaged_bound = 0.25 * (float(np.sum(abs_comm)) / total) ** 2
     disturbance = finals_b.report.value
     product = var_a * disturbance
     slack = product - bound
@@ -142,8 +143,10 @@ def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable,
 
 def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable],
                  pairs: Sequence[tuple[str, str]] = (),
-                 completeness_tol: float = COMPLETENESS_TOL) -> CharacterizationReport:
-    """Characterize every outcome of a measurement against named observables."""
+                 completeness_tol: float = COMPLETENESS_TOL,
+                 outcomes: Collection[Hashable] | None = None) -> CharacterizationReport:
+    """Characterize every outcome of a measurement, or only those labelled in
+    ``outcomes``, against named observables; completeness covers the whole set."""
     for a, b in pairs:
         for name in (a, b):
             if name not in observables:
@@ -153,18 +156,20 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
             raise DimensionMismatch(f"observable {name!r} has dimension {obs.dim}, "
                                     f"the Kraus set has {kraus.dim}")
     completeness = validate_completeness(kraus, completeness_tol)
-    comms = {(a, b): commutator(observables[a].matrix, observables[b].matrix)
-             for a, b in pairs}
-    outcomes = []
+    comms = {(a, b): commutator(observables[a].matrix, observables[b].matrix) for a, b in pairs}
+    comms_b = {(a, b): transition_amplitudes(comm, observables[b])
+               for (a, b), comm in comms.items()}
+    results = []
     for label, op in kraus.items():
+        if outcomes is not None and label not in outcomes:
+            continue
         try:
             retro = retrodictive_operator(op)
         except UnreachableOutcome:
-            outcomes.append(OutcomeCharacterization(
+            results.append(OutcomeCharacterization(
                 outcome=str(label), status="unreachable", rows=(), pairs=()))
             continue
-        # One retrodictive operator per outcome and one pass over the final
-        # results per observable; both pair checks read them.
+        # One R per outcome and one final-result pass per observable; both pair checks read them.
         rows, finals = {}, {}
         for name, obs in observables.items():
             mean, var = moments(obs.matrix, retro.matrix)
@@ -177,14 +182,15 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
         for a, b in pairs:
             resolution_check, disturbance_check = _pair_checks(
                 observables[a], observables[b], rows[a].resolution, rows[b].resolution,
-                float(commutator_bound(retro.matrix, comms[a, b])), finals[b], comms[a, b])
+                float(commutator_bound(retro.matrix, comms[a, b])), finals[b],
+                retro.total_weight, comms_b[a, b])
             pair_rows.append(PairRow(observable_a=a, observable_b=b,
                                      resolution_check=resolution_check,
                                      disturbance_check=disturbance_check))
-        outcomes.append(OutcomeCharacterization(
+        results.append(OutcomeCharacterization(
             outcome=str(label), status="ok", rows=tuple(rows.values()), pairs=tuple(pair_rows)))
     return CharacterizationReport(
         completeness=completeness,
         declared_complete=kraus.complete,
-        outcomes=tuple(outcomes),
+        outcomes=tuple(results),
     )

@@ -179,13 +179,8 @@ def _characterize_inputs(args):
 
 def cmd_characterize(args) -> int:
     kraus, observables, pairs, inputs = _characterize_inputs(args)
-    report = characterize(kraus, observables, pairs, completeness_tol=args.tol)
-    if args.outcome:
-        keep = set(args.outcome)
-        report = type(report)(
-            completeness=report.completeness,
-            declared_complete=report.declared_complete,
-            outcomes=tuple(o for o in report.outcomes if o.outcome in keep))
+    report = characterize(kraus, observables, pairs, completeness_tol=args.tol,
+                          outcomes=args.outcome)
     manifest = make_manifest(args.argv, inputs, {"tol": args.tol}, None, __version__)
 
     header, rows = characterization_rows(report)

@@ -30,14 +30,6 @@ class UnreachableOutcome(QmeterError):
     be inferred from it."""
 
 
-class InvalidWeights(QmeterError):
-    """Mixture weights are negative or do not sum to one."""
-
-
-class PreconditionViolated(QmeterError):
-    """A mixture component fails its own uncertainty inequality."""
-
-
 class CompletenessUnachievable(QmeterError):
     """No normalization can make the requested operator family complete."""
 

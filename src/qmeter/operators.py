@@ -49,13 +49,6 @@ def require_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return matrix
 
 
-def require_same_dim(*matrices: np.ndarray) -> int:
-    dims = {s for m in matrices for s in m.shape}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"operands mix dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 def adjoint(matrix: np.ndarray) -> np.ndarray:
     """M' of one matrix or of a (..., d, d) stack, as a view of the conjugate."""
     return matrix.conj().swapaxes(-1, -2)

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .backaction import transition_amplitudes
 from .characterize import CharacterizationReport, characterize
 from .errors import (
     CompletenessUnachievable,
@@ -363,22 +364,17 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     d = kraus.dim
     n_out = len(kraus)
 
-    # Conditional tables. eve_p[c, i, m]: outcome probability for eigenstate i
-    # of basis c. bob_p[c, i, m, f]: receiver result f given collapse by m.
-    eve_p = np.zeros((2, d, n_out))
-    bob_p = np.zeros((2, d, n_out, d))
-    for c, obs in enumerate(bases):
-        vecs = obs.eigenvectors
-        for m, op in enumerate(kraus.operators):
-            amp = vecs.conj().T @ op @ vecs   # <f|M|i>
-            prob = np.abs(amp) ** 2
-            eve_p[c, :, m] = prob.sum(axis=0)
-            if config.forwarding == "resend":
-                bob_p[c, :, m, :] = prob.T
-            else:
-                gram = op.conj().T @ op / norm_trace(op)
-                retro = np.einsum("if,ij,jf->f", vecs.conj(), gram, vecs).real
-                bob_p[c, :, m, :] = np.maximum(retro, 0.0)[None, :]
+    # Conditional tables from prob[c, m, f, i] = |<f|M_m|i>|^2 in basis c.
+    # eve_p[c, i, m]: outcome probability for eigenstate i. bob_p[c, i, m, f]:
+    # receiver result f given collapse by m, or for "reprepare" p(f|m).
+    ops = np.stack(kraus.operators)
+    prob = np.stack([np.abs(transition_amplitudes(ops, obs)) ** 2 for obs in bases])
+    eve_p = prob.sum(axis=2).swapaxes(1, 2)
+    if config.forwarding == "resend":
+        bob_p = prob.transpose(0, 3, 1, 2)
+    else:
+        retro = (eve_p / eve_p.sum(axis=1, keepdims=True)).swapaxes(1, 2)
+        bob_p = np.broadcast_to(retro[:, None], (2, d, n_out, d))
     eve_cum = _cumulative(eve_p)
     bob_cum = _cumulative(bob_p)
     values = np.stack([obs.eigenvalues for obs in bases])
@@ -396,8 +392,7 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
                 analytic = report.outcomes[m].rows[c].disturbance
             else:
                 # input retrodiction p(i|m) against the re-prepared mixture
-                input_probs = eve_p[c, :, m] / eve_p[c, :, m].sum()
-                analytic = float(input_probs @ gaps2 @ bob_p[c, 0, m, :])
+                analytic = float(bob_p[c, 0, m] @ gaps2 @ bob_p[c, 0, m])
             analytic_total += float(norm_trace(op)) / d * analytic
             emp = _empirical(int(counts[c, m]), float(s1[c, m]), float(s2[c, m]))
             outcome_stats.append(OutcomeDisturbanceStat(

@@ -3,11 +3,13 @@
 Each is an independent reference computation (outcome probabilities and
 post-measurement states from a density matrix, the quadratic error of an
 announced value, the coherent-grid completeness sum, the eigenvalue grouping
-loop, the verification suite one case and one final result at a time), an
-input generator (random complete Kraus sets, random density matrices,
-Kraus-set files) or ``single_outcome``, which reads ``characterize`` for one
-operator. They live with the tests so that the public API holds only what the
-library and the CLI use.
+loop, the verification suite one case and one final result at a time, the
+eavesdropper's re-prepared disturbance from the Gram matrix, the
+mixture-averaging lemma as standalone arithmetic), an input generator (random
+complete Kraus sets, random density matrices, Kraus-set files) or
+``single_outcome``, which reads ``characterize`` for one operator. They live
+with the tests so that the public API holds only what the library and the CLI
+use.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from qmeter.operators import (
     BosonicSpace,
     HermitianObservable,
     as_complex_matrix,
-    require_same_dim,
     require_square,
 )
 from qmeter.verify import (
@@ -69,6 +70,13 @@ class InvalidState(QmeterError):
 
 class ZeroProbabilityOutcome(QmeterError):
     """Conditioning on an outcome whose probability vanishes for this input."""
+
+
+def require_same_dim(*matrices: np.ndarray) -> int:
+    dims = {s for m in matrices for s in m.shape}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"operands mix dimensions {sorted(dims)}")
+    return dims.pop()
 
 
 def _check_density(rho, dim: int) -> np.ndarray:
@@ -177,6 +185,19 @@ def eigenvalue_groups(observable: HermitianObservable) -> list[tuple[float, np.n
             groups.append((float(np.mean(vals[start:k])), np.arange(start, k)))
             start = k
     return groups
+
+
+def reprepared_disturbance(operator, observable: HermitianObservable) -> float:
+    """Disturbance of B when the eavesdropper re-prepares the retrodicted input
+    R = M'M / tr{M'M} of its outcome: sum_if p_i p_f (b_i - b_f)^2, with
+    p_i = <B_i|R|B_i> read from the Gram matrix M'M."""
+    op = np.asarray(operator, dtype=np.complex128)
+    gram = op.conj().T @ op
+    vecs = observable.eigenvectors
+    p = np.maximum(np.einsum("if,ij,jf->f", vecs.conj(), gram, vecs).real, 0.0)
+    p = p / np.trace(gram).real
+    gaps2 = (observable.eigenvalues[:, None] - observable.eigenvalues[None, :]) ** 2
+    return float(p @ gaps2 @ p)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -453,4 +474,90 @@ def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
         slack_tol=slack_tol, identity_tol=IDENTITY_TOL, bound_scale=bound_scale,
         relations=tuple(relations[n] for n in RELATION_NAMES),
         identities=tuple(identities[n] for n in IDENTITY_NAMES),
+    )
+
+
+# Uncertainty bound for statistical mixtures, as pure arithmetic. If every
+# component of a mixture satisfies var_a_i * var_b_i >= U_i^2, then the
+# weighted averages satisfy (sum p var_a)(sum p var_b) >= (sum p U)^2. The
+# bound U_i is taken as an input rather than recomputed from operators, so the
+# lemma stands on its own; verify's averaged_pair relation checks its
+# conclusion on real sequences, with U_i = |<r_mf|[A,B]|r_mf>| / 2.
+
+
+class InvalidWeights(QmeterError):
+    """Mixture weights are negative or do not sum to one."""
+
+
+class PreconditionViolated(QmeterError):
+    """A mixture component fails its own uncertainty inequality."""
+
+
+WEIGHT_SUM_TOL = 1e-10
+COMPONENT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class MixtureComponent:
+    """One branch of a statistical mixture with its own uncertainty product."""
+
+    weight: float
+    var_a: float
+    var_b: float
+    bound: float
+
+
+@dataclass(frozen=True)
+class MixtureCheck:
+    """Result of the averaged uncertainty inequality.
+
+    lhs >= middle >= rhs, where ``middle`` is the squared weighted average of
+    sqrt(var_a var_b); the two links are reported separately.
+    """
+
+    lhs: float
+    middle: float
+    rhs: float
+    satisfied: bool
+    first_link_ok: bool
+    second_link_ok: bool
+
+
+def _validated(components: Iterable[MixtureComponent]) -> Sequence[MixtureComponent]:
+    comps = tuple(components)
+    if not comps:
+        raise InvalidWeights("empty mixture")
+    total = 0.0
+    for i, c in enumerate(comps):
+        if not 0.0 <= c.weight <= 1.0 + WEIGHT_SUM_TOL:
+            raise InvalidWeights(f"component {i} has weight {c.weight!r}")
+        total += c.weight
+        if c.var_a < 0.0 or c.var_b < 0.0 or c.bound < 0.0:
+            raise PreconditionViolated(
+                f"component {i} has a negative variance or bound")
+        if c.var_a * c.var_b < c.bound ** 2 - COMPONENT_TOL:
+            raise PreconditionViolated(
+                f"component {i} violates its own inequality: "
+                f"{c.var_a * c.var_b:.6e} < {c.bound ** 2:.6e}")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidWeights(f"weights sum to {total!r}, not 1")
+    return comps
+
+
+def mixture_bound_check(components: Iterable[MixtureComponent]) -> MixtureCheck:
+    """Average the per-component uncertainties and check the mixed bound,
+    each inequality within COMPONENT_TOL."""
+    comps = _validated(components)
+    avg_a = sum(c.weight * c.var_a for c in comps)
+    avg_b = sum(c.weight * c.var_b for c in comps)
+    avg_prod = sum(c.weight * math.sqrt(c.var_a * c.var_b) for c in comps)
+    avg_bound = sum(c.weight * c.bound for c in comps)
+    lhs = avg_a * avg_b
+    middle = avg_prod ** 2
+    rhs = avg_bound ** 2
+    return MixtureCheck(
+        lhs=lhs, middle=middle, rhs=rhs,
+        satisfied=bool(lhs >= rhs - COMPONENT_TOL),
+        first_link_ok=bool(lhs >= middle - COMPONENT_TOL),
+        second_link_ok=bool(middle >= rhs - COMPONENT_TOL),
     )

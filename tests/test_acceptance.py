@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from oracles import MixtureComponent, mixture_bound_check
 from qmeter import (
     BosonicSpace,
     KrausSet,
-    MixtureComponent,
     ScenarioConfig,
     characterize,
     classical_teleportation_preset,
     eavesdrop_simulation,
-    mixture_bound_check,
     named_observable,
     photon_detector_preset,
     qnd_preset,

@@ -454,7 +454,8 @@ def test_commutator_norm_within_identity_tolerance(dim, seed, kind):
 def test_disturbance_cross_check_negative_control(observable, op, monkeypatch):
     # the commutator norm offset by 10x the allowed gap must trip the check
     total = float(norm_trace(op))
-    eigensum = float(backaction.disturbance_eigensum(op, observable, total))
+    weights2 = np.abs(backaction.transition_amplitudes(op, observable)) ** 2
+    eigensum = float(backaction.disturbance_eigensum(weights2, observable, total))
     offset = 10.0 * forms_tolerance(eigensum) * total
     norm = backaction.norm_trace
     monkeypatch.setattr(backaction, "norm_trace", lambda m: norm(m) + offset)

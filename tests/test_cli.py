@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -152,6 +153,30 @@ class TestCharacterize:
                      "--outcome", "up"]) == 0
         printed = capsys.readouterr().out
         assert "up" in printed and "down" not in printed
+
+    def test_outcome_flag_characterizes_only_the_selected_outcomes(self, tmp_path, monkeypatch):
+        # --outcome m=0 writes m=0's bytes of the full run, and characterize
+        # makes one final-result pass per observable instead of 51 each
+        argv = ["characterize", "--preset", "qnd", "--dim", "30", "--sigma", "5",
+                "--grid=-10..40", "--names", "n,x", "--pair", "n,x"]
+        full, one = tmp_path / "full", tmp_path / "one"
+        assert main(argv + ["--out", str(full)]) == 0
+        module = importlib.import_module("qmeter.characterize")
+        calls = []
+        kernel = module.final_statistics
+        monkeypatch.setattr(module, "final_statistics",
+                            lambda *args: calls.append(args) or kernel(*args))
+        assert main(argv + ["--outcome", "m=0", "--out", str(one)]) == 0
+        assert len(calls) == 2
+        for name in ("characterization.csv", "disturbance_records.csv", "pairs.csv"):
+            full_lines, one_lines = ((d / name).read_bytes().splitlines() for d in (full, one))
+            selected = [line for line in full_lines[1:] if line.startswith(b"m=0,")]
+            assert selected and one_lines == full_lines[:1] + selected
+        full_report, one_report = (json.loads((d / "report.json").read_bytes())["report"]
+                                   for d in (full, one))
+        assert one_report["outcomes"] == [o for o in full_report["outcomes"]
+                                          if o["outcome"] == "m=0"]
+        assert one_report["completeness"] == full_report["completeness"]
 
     def test_unknown_observable_is_input_error(self, projective_file):
         assert main(["characterize", projective_file, "--names", "bogus"]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeter import InvalidWeights, MixtureComponent, PreconditionViolated, mixture_bound_check
+from oracles import InvalidWeights, MixtureComponent, PreconditionViolated, mixture_bound_check
 
 
 def component(weight, var_a, var_b, bound):

@@ -4,7 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import coherent_grid_completeness, random_complete_kraus_set, single_outcome
+from oracles import (
+    coherent_grid_completeness,
+    random_complete_kraus_set,
+    reprepared_disturbance,
+    single_outcome,
+)
 from qmeter import (
     BosonicSpace,
     CompletenessUnachievable,
@@ -217,6 +222,23 @@ class TestEavesdrop:
         assert report.passed
         for block in report.bases:
             assert block.within_three_se
+
+    def test_reprepare_analytic_matches_gram_oracle(self):
+        # deterministic: each outcome's re-prepared disturbance, and the
+        # basis total weighted by tr{M'M} / d, against the Gram-matrix formula
+        from qmeter.verify import random_hermitian
+        rng = np.random.Generator(np.random.Philox(key=101))
+        kraus = random_complete_kraus_set(3, 4, rng)
+        bases = [eigendecompose(random_hermitian(3, rng), name=name) for name in "AB"]
+        report = eavesdrop_simulation(ScenarioConfig(
+            scenario="eavesdrop", dim=3, trials=1, observable_a=bases[0],
+            observable_b=bases[1], kraus=kraus, forwarding="reprepare"))
+        for block, obs in zip(report.bases, bases):
+            expected = [reprepared_disturbance(op, obs) for op in kraus.operators]
+            assert [o.analytic for o in block.outcomes] == pytest.approx(expected, rel=1e-12)
+            total = sum(np.linalg.norm(op) ** 2 / 3 * e
+                        for op, e in zip(kraus.operators, expected))
+            assert block.analytic == pytest.approx(total, rel=1e-12)
 
     def test_incomplete_set_rejected(self):
         partial = KrausSet(operators=(np.outer([1, 0], [0, 1]),), complete=False)
