@@ -31,9 +31,10 @@ CROSS_CHECK_TOL = 1e-10
 # Two independent paths give the final-result statistics. final_statistics,
 # which characterize reads, takes them from the transition amplitudes
 # S = V_B'MV_B alone: r_mf gives B_i the probability |S_fi|^2 / q_f, with q_f
-# the row sum, so no state vector is formed. sequence_statistics, which verify
-# reads, forms each M'|B_f> with one matrix-vector product per final result,
-# over a whole stack of cases at once: the rounding that verify's reports pin.
+# the row sum, and R gives it the column sum over tr{M'M}, so no state vector
+# and no R is formed. sequence_statistics, which verify reads, forms each
+# M'|B_f> with one matrix-vector product per final result, over a whole stack
+# of cases at once: the rounding that verify's reports pin.
 
 
 def _apply(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -156,11 +157,13 @@ def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
 
 class FinalStatistics(NamedTuple):
     """One outcome's averaged disturbance of B, the amplitudes S = V_B'MV_B it
-    was read from, and ``kept``, the final results of weight >= WEIGHT_FLOOR."""
+    was read from, ``kept``, the final results of weight >= WEIGHT_FLOOR, and
+    ``input_weights`` p_i = <B_i|R|B_i> = sum_f |S_fi|^2 / tr{M'M}."""
 
     report: DisturbanceReport
     amplitudes: np.ndarray
     kept: np.ndarray
+    input_weights: np.ndarray
 
 
 def final_statistics(op: np.ndarray, total: float,
@@ -209,4 +212,4 @@ def final_statistics(op: np.ndarray, total: float,
     report = DisturbanceReport(observable=observable.name or "B",
                                value=eigensum, trace_form=norm,
                                records=tuple(records))
-    return FinalStatistics(report=report, amplitudes=amplitudes, kept=kept)
+    return FinalStatistics(report, amplitudes, kept, w2.sum(axis=0) / total)

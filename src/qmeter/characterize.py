@@ -22,10 +22,7 @@ from .measurement import (
     SLACK_TOL,
     CompletenessReport,
     KrausSet,
-    clamp_variance,
-    commutator_bound,
-    moments,
-    retrodictive_operator,
+    outcome_weight,
     validate_completeness,
 )
 from .operators import HermitianObservable, commutator
@@ -35,9 +32,9 @@ from .operators import HermitianObservable, commutator
 class ObservableRow:
     """Estimate / resolution / disturbance of one observable for one outcome.
 
-    The estimate of the input eigenvalue is tr{A R}; its mean squared error
-    over the uniform eigenstate ensemble, the resolution, is the variance of A
-    under R.
+    The estimate of the input eigenvalue is tr{A R} = p.a, with p_i = <A_i|R|A_i>;
+    its mean squared error over the uniform eigenstate ensemble, the resolution,
+    is the variance p.(a - estimate)^2 of A under R, a sum of non-negative terms.
     """
 
     observable: str
@@ -111,11 +108,13 @@ class CharacterizationReport:
 
 
 def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable, var_a: float,
-                 var_b: float, bound: float, finals_b: FinalStatistics, total: float,
+                 var_b: float, finals_b: FinalStatistics, total: float,
                  comm_b: np.ndarray) -> tuple[PairCheck, ResolutionDisturbanceCheck]:
-    """Both checks from the resolutions, the outcome's |tr{R [A, B]}|^2 / 4, B's
-    final-result statistics, ``total`` = tr{M'M} and ``comm_b`` = V_B'[A, B]V_B."""
+    """Both checks from the resolutions, B's final statistics, tr{M'M} and V_B'[A, B]V_B."""
     name_a, name_b = obs_a.name or "A", obs_b.name or "B"
+    # g_f = <u_f|[A,B]|u_f> for u_f = M'|B_f> from row f of S; sum_f g_f = tr{M'M [A,B]}
+    g = np.sum(finals_b.amplitudes @ comm_b * finals_b.amplitudes.conj(), axis=1)
+    bound = 0.25 * (float(abs(g.sum())) / total) ** 2
     product = var_a * var_b
     slack = product - bound
     resolution_check = PairCheck(
@@ -123,10 +122,7 @@ def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable, var_a: 
         product=product, bound=bound, slack=float(slack),
         satisfied=bool(slack >= -SLACK_TOL))
 
-    # <u_f|[A,B]|u_f> for u_f = M'|B_f>, the unnormalized r_mf, from row f of S
-    s = finals_b.amplitudes[finals_b.kept]
-    abs_comm = np.abs(np.sum(s @ comm_b * s.conj(), axis=1))
-    averaged_bound = 0.25 * (float(np.sum(abs_comm)) / total) ** 2
+    averaged_bound = 0.25 * (float(np.sum(np.abs(g[finals_b.kept]))) / total) ** 2
     disturbance = finals_b.report.value
     product = var_a * disturbance
     slack = product - bound
@@ -146,7 +142,9 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
                  completeness_tol: float = COMPLETENESS_TOL,
                  outcomes: Collection[Hashable] | None = None) -> CharacterizationReport:
     """Characterize every outcome of a measurement, or only those labelled in
-    ``outcomes``, against named observables; completeness covers the whole set."""
+    ``outcomes``, against named observables; completeness covers the whole set.
+    Every per-outcome number but the commutator-norm cross-check is read from
+    one S = V'MV per observable and, per pair, S V_B'[A, B]V_B; no R is formed."""
     for a, b in pairs:
         for name in (a, b):
             if name not in observables:
@@ -156,34 +154,34 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
             raise DimensionMismatch(f"observable {name!r} has dimension {obs.dim}, "
                                     f"the Kraus set has {kraus.dim}")
     completeness = validate_completeness(kraus, completeness_tol)
-    comms = {(a, b): commutator(observables[a].matrix, observables[b].matrix) for a, b in pairs}
-    comms_b = {(a, b): transition_amplitudes(comm, observables[b])
-               for (a, b), comm in comms.items()}
+    comms_b = {(a, b): transition_amplitudes(
+        commutator(observables[a].matrix, observables[b].matrix), observables[b])
+        for a, b in pairs}
     results = []
     for label, op in kraus.items():
         if outcomes is not None and label not in outcomes:
             continue
         try:
-            retro = retrodictive_operator(op)
+            total = float(outcome_weight(op))
         except UnreachableOutcome:
             results.append(OutcomeCharacterization(
                 outcome=str(label), status="unreachable", rows=(), pairs=()))
             continue
-        # One R per outcome and one final-result pass per observable; both pair checks read them.
+        # One sandwich S per observable; the rows and both pair checks read it.
         rows, finals = {}, {}
         for name, obs in observables.items():
-            mean, var = moments(obs.matrix, retro.matrix)
-            finals[name] = final_statistics(op, retro.total_weight, obs)
-            dist = finals[name].report
+            finals[name] = final_statistics(op, total, obs)
+            p, dist = finals[name].input_weights, finals[name].report
+            estimate = float(p @ obs.eigenvalues)
             rows[name] = ObservableRow(
-                observable=name, estimate=float(mean), resolution=clamp_variance(float(var)),
+                observable=name, estimate=estimate,
+                resolution=float(p @ (obs.eigenvalues - estimate) ** 2),
                 disturbance=dist.value, disturbance_report=dist)
         pair_rows = []
         for a, b in pairs:
             resolution_check, disturbance_check = _pair_checks(
                 observables[a], observables[b], rows[a].resolution, rows[b].resolution,
-                float(commutator_bound(retro.matrix, comms[a, b])), finals[b],
-                retro.total_weight, comms_b[a, b])
+                finals[b], total, comms_b[a, b])
             pair_rows.append(PairRow(observable_a=a, observable_b=b,
                                      resolution_check=resolution_check,
                                      disturbance_check=disturbance_check))

@@ -430,11 +430,10 @@ class CloningReport:
 
     observable: str
     rows: tuple[CloneOutcomeRow, ...]
-    completeness_deviation: float | None
+    completeness_deviation: float
 
 
-def cloning_error(states: Sequence, observable: HermitianObservable,
-                  check_completeness: bool = False) -> CloningReport:
+def cloning_error(states: Sequence, observable: HermitianObservable) -> CloningReport:
     """Errors of a measure-and-prepare cloner built from projection states."""
     prepared = []
     for i, raw in enumerate(states):
@@ -446,14 +445,13 @@ def cloning_error(states: Sequence, observable: HermitianObservable,
     name = observable.name or "A"
     kraus = KrausSet(operators=tuple(np.outer(v, v.conj()) for v in prepared),
                      labels=tuple(f"psi{i}" for i in range(len(prepared))),
-                     complete=check_completeness)
+                     complete=False)
     report = characterize(kraus, {name: observable})
     rows = tuple(CloneOutcomeRow(outcome=o.outcome, estimate=row.estimate,
                                  resolution=row.resolution, disturbance=row.disturbance)
                  for o in report.outcomes for row in o.rows)
     return CloningReport(observable=name, rows=rows,
-                         completeness_deviation=(report.completeness.max_deviation
-                                                 if check_completeness else None))
+                         completeness_deviation=report.completeness.max_deviation)
 
 
 @dataclass(frozen=True)

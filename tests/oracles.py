@@ -2,8 +2,9 @@
 
 Each is an independent reference computation (outcome probabilities and
 post-measurement states from a density matrix, the quadratic error of an
-announced value, the coherent-grid completeness sum, the eigenvalue grouping
-loop, the verification suite one case and one final result at a time, the
+announced value, the estimates, resolutions and pair bound from R itself, the
+coherent-grid completeness sum, the eigenvalue grouping loop, the
+verification suite one case and one final result at a time, the
 eavesdropper's re-prepared disturbance from the Gram matrix, the
 mixture-averaging lemma as standalone arithmetic), an input generator (random
 complete Kraus sets, random density matrices, Kraus-set files) or
@@ -38,6 +39,7 @@ from qmeter.measurement import (
     SLACK_TOL,
     UNREACHABLE_TRACE_FLOOR,
     clamp_variance,
+    commutator_bound,
     moments,
     outcome_weight,
 )
@@ -134,6 +136,18 @@ def quadratic_error(operator, observable: HermitianObservable, assigned_value: f
     require_same_dim(retro.matrix, observable.matrix)
     shifted = observable.matrix - float(assigned_value) * np.eye(retro.matrix.shape[0])
     return clamp_variance(float(np.trace(shifted @ retro.matrix @ shifted).real))
+
+
+def retrodictive_path(operator, obs_a: HermitianObservable,
+                      obs_b: HermitianObservable) -> tuple[tuple, tuple, float]:
+    """The per-outcome numbers from R = M'M / tr{M'M} itself, the path that
+    ``verify`` takes: (estimate, unclamped variance) of A and of B under R
+    (``moments``), and |tr{R [A, B]}|^2 / 4 (``commutator_bound``)."""
+    retro = retrodictive_operator(operator).matrix
+    row_a, row_b = (tuple(float(v) for v in moments(obs.matrix, retro))
+                    for obs in (obs_a, obs_b))
+    comm = commutator(obs_a.matrix, obs_b.matrix)
+    return row_a, row_b, float(commutator_bound(retro, comm))
 
 
 def coherent_grid_completeness(space: BosonicSpace, half_width: float,

@@ -604,6 +604,68 @@ def test_final_results_at_the_weight_floor(dim, seed):
     assert_matches_scalar_path(m, obs_a, obs_b)
 
 
+def assert_matches_retrodictive_path(kraus, obs_a, obs_b):
+    """characterize's estimates, resolutions and both pair bounds, read from the
+    sandwiches S, against the oracle that forms R = M'M / tr{M'M}, outcome by
+    outcome, at the tolerance of a unit-weight record."""
+    scale_a, scale_b = (max(1.0, float(np.max(np.abs(o.eigenvalues)))) for o in (obs_a, obs_b))
+    tol = record_tolerance(1.0)
+    report = characterize(kraus, {"A": obs_a, "B": obs_b}, [("A", "B")])
+    for op, outcome in zip(kraus.operators, report.outcomes):
+        *moments, bound = oracles.retrodictive_path(op, obs_a, obs_b)
+        for row, (estimate, variance), scale in zip(outcome.rows, moments, (scale_a, scale_b)):
+            assert row.resolution >= 0.0
+            assert row.estimate == pytest.approx(estimate, rel=tol, abs=tol * scale)
+            assert row.resolution == pytest.approx(variance, rel=tol, abs=tol * scale ** 2)
+        [pair] = outcome.pairs
+        close = dict(rel=tol, abs=tol * (scale_a * scale_b) ** 2)
+        assert pair.resolution_check.bound == pytest.approx(bound, **close)
+        assert pair.disturbance_check.bound == pytest.approx(bound, **close)
+        assert pair.disturbance_check.chain_ok
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_rows_and_bounds_match_retrodictive_path(dim, n_outcomes, seed, degenerate):
+    # random complete sets; B is a ramp of exactly and nearly degenerate
+    # eigenvalues when ``degenerate``
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    kraus = oracles.random_complete_kraus_set(dim, n_outcomes, rng)
+    obs_a = eigendecompose(random_hermitian(dim, rng), name="A")
+    obs_b = ramp_observable(dim, rng) if degenerate else \
+        eigendecompose(random_hermitian(dim, rng), name="B")
+    assert_matches_retrodictive_path(kraus, obs_a, obs_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
+def test_rank_deficient_rows_and_bounds_match_retrodictive_path(dim, seed):
+    # M = V_B diag(c) W' with some c_f zero and one at half the floor: those
+    # final results are dropped, so the bound sums g_f over every f and the
+    # averaged bound over the kept ones only
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    obs_a = eigendecompose(random_hermitian(dim, rng), name="A")
+    obs_b = eigendecompose(random_hermitian(dim, rng), name="B")
+    c2 = rng.uniform(0.1, 1.0, size=dim)
+    zero, below = np.split(rng.permutation(dim)[:1 + int(rng.integers(1, dim - 1))], [-1])
+    c2[zero] = c2[below] = 0.0
+    c2[below] = 0.5 * WEIGHT_FLOOR * c2.sum()
+    m = obs_b.eigenvectors @ np.diag(np.sqrt(c2)) @ random_unitary(dim, rng).conj().T
+    report = assert_matches_retrodictive_path(KrausSet((m,), complete=False), obs_a, obs_b)
+    values = [r.final_value for r in report.outcomes[0].rows[1].disturbance_report.records]
+    assert not set(obs_b.eigenvalues[np.concatenate([zero, below])]) & set(values)
+
+
+def test_qnd_d120_resolutions_match_retrodictive_path():
+    # the d=120 QND preset, n up to 119: every resolution is >= 0 with no
+    # clamp and on the oracle's values
+    kraus = qnd_preset(BosonicSpace(120), 5.0, range(-10, 131))
+    report = assert_matches_retrodictive_path(
+        kraus, named_observable("n", 120), named_observable("x", 120))
+    assert [o.status for o in report.outcomes] == ["ok"] * 141
+
+
 def test_unreachable_outcome():
     silent = np.full((3, 3), 1e-9, dtype=complex)  # tr{M'M} = 9e-18
     assert single_outcome(silent, N3, N3).status == "unreachable"

@@ -361,7 +361,7 @@ def test_sample_blocks_equals_row_wise_reference(make_config, trials, monkeypatc
 class TestCloning:
     def test_eigenbasis_clones_perfectly(self):
         states = [SZ.eigenvectors[:, k] for k in range(2)]
-        report = cloning_error(states, SZ, check_completeness=True)
+        report = cloning_error(states, SZ)
         assert report.completeness_deviation <= 1e-12
         for row in report.rows:
             assert row.resolution == pytest.approx(0.0, abs=1e-12)
