@@ -9,12 +9,7 @@ classical-teleportation, eavesdropping and cloning scenarios.
 
 __version__ = "0.1.0"
 
-from .backaction import (
-    DisturbanceRecord,
-    DisturbanceReport,
-    disturbance_forms,
-    sequence_statistics,
-)
+from .backaction import DisturbanceRecord, DisturbanceReport
 from .characterize import (
     CharacterizationReport,
     ObservableRow,
@@ -41,7 +36,6 @@ from .errors import (
 from .measurement import (
     CompletenessReport,
     KrausSet,
-    RetrodictiveOperator,
     retrodictive_operator,
     validate_completeness,
 )

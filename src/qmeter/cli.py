@@ -8,10 +8,9 @@ Commands:
                 eavesdrop, cloning)
 
 Exit codes: 0 success, 1 semantic failure (validation or relation violation),
-2 input error (parse, schema or out-of-range argument, operands of different
-dimensions, a state that is not a unit vector). Reports embed a
-manifest with input digests, the tolerances that took effect and the seed;
-identical manifests give byte-identical reports apart from the timestamp.
+2 input error (a bad argument or file entry: ``errors.INPUT_ERRORS``). Reports
+embed a manifest with input digests, the tolerances that took effect and the
+seed; identical manifests give byte-identical reports apart from the timestamp.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .characterize import characterize
-from .errors import DimensionMismatch, NonUnitState, QmeterError, SchemaError, UnknownObservable
+from .errors import INPUT_ERRORS, DimensionMismatch, QmeterError, SchemaError
 from .measurement import COMPLETENESS_TOL, SLACK_TOL, validate_completeness
 from .operators import named_observable
 from .scenarios import SEED_LIMIT, ScenarioConfig, preset_kraus, require_integer, run_scenario
@@ -58,6 +55,17 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def non_negative_float(strict: bool = False):
+    """argparse type for a finite float flag >= 0, or > 0 if ``strict``."""
+    def bounded_float(text: str) -> float:
+        value = finite_float(text)
+        if value < 0.0 or (strict and value == 0.0):
+            raise argparse.ArgumentTypeError(
+                f"expected a number {'>' if strict else '>='} 0, got {text!r}")
+        return value
+    return bounded_float
 
 
 def parse_complex(text: str) -> complex:
@@ -259,11 +267,15 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
     if "kraus" in obj:
         spec = obj["kraus"]
         if isinstance(spec, dict) and "file" in spec:
+            if not isinstance(spec["file"], str):
+                raise SchemaError("config.kraus.file: expected a path")
             fields["kraus"] = load_kraus_set(spec["file"])
         else:
             fields["kraus"] = kraus_set_from_dict(spec, "config.kraus")
     if "states" in obj:
-        fields["states"] = tuple(matrix_literal_vector(v, f"config.states[{i}]")
+        if not isinstance(obj["states"], list):
+            raise SchemaError("config.states: expected a list of states")
+        fields["states"] = tuple(complex_vector_from_pairs(v, f"config.states[{i}]")
                                  for i, v in enumerate(obj["states"]))
     if "alpha" in obj:
         alpha = obj["alpha"]
@@ -283,13 +295,6 @@ def _scenario_config_from_dict(obj, seed_override=None) -> ScenarioConfig:
                 spec, dim, where=f"config.observables.{key}",
                 name=spec if isinstance(spec, str) else key)
         return ScenarioConfig(scenario=str(obj["scenario"]), dim=dim, **fields)
-
-
-def matrix_literal_vector(obj, where: str) -> np.ndarray:
-    """States in configs are [[re, im], ...] amplitude lists."""
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return complex_vector_from_pairs(obj, where)
 
 
 def cmd_scenario(args) -> int:
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_completeness_tol(p):
-        p.add_argument("--tol", type=finite_float, default=COMPLETENESS_TOL,
+        p.add_argument("--tol", type=non_negative_float(), default=COMPLETENESS_TOL,
                        help="completeness tolerance")
 
     def add_out(p, tables: bool):
@@ -348,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="randomized relation suite")
     p_verify.add_argument("--dims", default="2..6")
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_verify.add_argument("--bound-scale", type=finite_float, default=1.0,
+    p_verify.add_argument("--bound-scale", type=non_negative_float(strict=True), default=1.0,
                           help="negative-control hook: inflate all bounds")
-    p_verify.add_argument("--tol", type=finite_float, default=SLACK_TOL,
+    p_verify.add_argument("--tol", type=non_negative_float(), default=SLACK_TOL,
                           help="slack tolerance for the relations")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_out(p_verify, tables=False)
@@ -370,8 +375,7 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded as the manifest's command
     try:
         return args.func(args)
-    except (SchemaError, UnknownObservable, DimensionMismatch, NonUnitState,
-            FileNotFoundError) as exc:
+    except (*INPUT_ERRORS, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QmeterError as exc:

@@ -49,3 +49,8 @@ class InternalConsistencyError(QmeterError):
 
 class SchemaError(QmeterError):
     """A JSON input does not match the expected schema."""
+
+
+# Faults of the input rather than of the numerics; the CLI exits 2 on them.
+INPUT_ERRORS = (SchemaError, UnknownObservable, DimensionMismatch, NonUnitState,
+                TruncationError, CompletenessUnachievable)

@@ -16,7 +16,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalConsistencyError, UnreachableOutcome
+from .errors import DimensionMismatch, UnreachableOutcome
 from .operators import adjoint, as_complex_matrix, inner, require_square
 
 # Deviation allowed in || sum M'M - 1 ||_max for a set to count as complete.
@@ -25,31 +25,8 @@ COMPLETENESS_TOL = 1e-9
 # Below this tr{M'M} an outcome never occurs and nothing can be retrodicted.
 UNREACHABLE_TRACE_FLOOR = 1e-14
 
-# Variances in [floor, 0) are rounding noise and clamp to zero; anything more
-# negative means the computation itself went wrong.
-NEGATIVE_VARIANCE_FLOOR = -1e-12
-
 # Slack tolerance when checking uncertainty products against bounds.
 SLACK_TOL = 1e-10
-
-
-def clamp_variance(value: float) -> float:
-    """Zero out rounding-level negative variances, reject anything worse."""
-    if value >= 0.0:
-        return value
-    if value >= NEGATIVE_VARIANCE_FLOOR:
-        return 0.0
-    raise InternalConsistencyError(f"variance {value:.3e} below clamp floor")
-
-
-# clamp_variance over an array, in order: the first value below the floor is named.
-clamp_variances = np.vectorize(clamp_variance, otypes=[float])
-
-
-def squared(values: np.ndarray) -> np.ndarray:
-    """values ** 2 through libm pow, as ``**`` on a float computes it: glibc's
-    pow(x, 2) and x * x differ in the last bit on about 0.1% of inputs."""
-    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -118,30 +95,6 @@ def validate_completeness(kraus: KrausSet, tol: float = COMPLETENESS_TOL) -> Com
                               passed=deviation <= tol)
 
 
-@dataclass(frozen=True)
-class RetrodictiveOperator:
-    """Normalized M'M: what one outcome implies about an unknown eigenstate input.
-
-    ``total_weight`` keeps tr{M'M}; under a uniform eigenstate prior the
-    outcome occurs with probability total_weight / dim. Both may also hold a
-    stack, one entry per operator of a (..., d, d) stack.
-    """
-
-    matrix: np.ndarray
-    total_weight: float = float("nan")
-
-
-# The functions below take one matrix or a (..., d, d) stack, with the same bits.
-
-
-def moments(observable: np.ndarray, retro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tr{A R} and tr{A^2 R} - tr{A R}^2, the variance in mean-shifted form for
-    stability and unclamped."""
-    mean = np.trace(observable @ retro, axis1=-2, axis2=-1).real
-    shifted = observable - mean[..., None, None] * np.eye(observable.shape[-1])
-    return mean, np.trace(shifted @ retro @ shifted, axis1=-2, axis2=-1).real
-
-
 def norm_trace(operator: np.ndarray) -> np.ndarray:
     """tr{M'M} as a sum of squares (always >= 0 in floating point)."""
     flat = operator.reshape(*operator.shape[:-2], -1)
@@ -157,16 +110,12 @@ def outcome_weight(op: np.ndarray) -> np.ndarray:
     return weight
 
 
-def commutator_bound(retro: np.ndarray, comm: np.ndarray) -> np.ndarray:
-    """|tr{R [A, B]}|^2 / 4, the bound shared by both uncertainty relations."""
-    return 0.25 * squared(np.abs(np.trace(retro @ comm, axis1=-2, axis2=-1)))
-
-
-def retrodictive_operator(operator) -> RetrodictiveOperator:
-    """R = M'M / tr{M'M}; unit trace and positive by construction."""
+def retrodictive_operator(operator) -> np.ndarray:
+    """R = M'M / tr{M'M}, read-only, for one M or a (..., d, d) stack; unit
+    trace and positive by construction."""
     op = require_square(np.asarray(operator, dtype=np.complex128), "M")
     weight = outcome_weight(op)
     gram = adjoint(op) @ op
     matrix = (gram + adjoint(gram)) / (2.0 * weight[..., None, None])
     matrix.setflags(write=False)
-    return RetrodictiveOperator(matrix=matrix, total_weight=weight)
+    return matrix

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backaction import transition_amplitudes
+from .backaction import disturbance_eigensum, transition_amplitudes
 from .characterize import CharacterizationReport, characterize
 from .errors import (
     CompletenessUnachievable,
@@ -386,13 +386,13 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     for c, obs in enumerate(bases):
         outcome_stats = []
         analytic_total = 0.0
-        gaps2 = (obs.eigenvalues[:, None] - obs.eigenvalues[None, :]) ** 2
         for m, (label, op) in enumerate(kraus.items()):
             if config.forwarding == "resend":
                 analytic = report.outcomes[m].rows[c].disturbance
             else:
                 # input retrodiction p(i|m) against the re-prepared mixture
-                analytic = float(bob_p[c, 0, m] @ gaps2 @ bob_p[c, 0, m])
+                p = bob_p[c, 0, m]
+                analytic = float(disturbance_eigensum(np.outer(p, p), obs, 1.0))
             analytic_total += float(norm_trace(op)) / d * analytic
             emp = _empirical(int(counts[c, m]), float(s1[c, m]), float(s2[c, m]))
             outcome_stats.append(OutcomeDisturbanceStat(

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .characterize import CharacterizationReport
-from .errors import DimensionMismatch, SchemaError, UnknownObservable
+from .errors import DimensionMismatch, NotHermitian, SchemaError, UnknownObservable
 from .measurement import KrausSet
 from .operators import HermitianObservable, as_complex_matrix, eigendecompose, named_observable
 from .scenarios import (
@@ -50,8 +50,11 @@ def matrix_to_literal(matrix) -> dict:
     }
 
 
-def complex_vector_from_pairs(pairs: list, where: str) -> np.ndarray:
-    """[[re, im], ...] with finite numeric (not bool) parts as a complex128 vector."""
+def complex_vector_from_pairs(pairs, where: str) -> np.ndarray:
+    """A non-empty list [[re, im], ...] with finite numeric (not bool) parts as a
+    complex128 vector."""
+    if not isinstance(pairs, list) or not pairs:
+        raise SchemaError(f"{where}: expected a non-empty list of [re, im] pairs")
     out = np.empty(len(pairs), dtype=np.complex128)
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list) or len(pair) != 2 or not all(
@@ -113,7 +116,10 @@ def kraus_set_from_dict(obj, where: str = "kraus") -> KrausSet:
     complete = obj.get("complete", True)
     if not isinstance(complete, bool):
         raise SchemaError(f"{where}.complete: expected a boolean")
-    return KrausSet(operators=tuple(operators), labels=tuple(labels), complete=complete)
+    try:
+        return KrausSet(operators=tuple(operators), labels=tuple(labels), complete=complete)
+    except ValueError as exc:  # duplicate labels
+        raise SchemaError(f"{where}.outcomes: {exc}") from None
 
 
 def load_json(path) -> Any:
@@ -142,7 +148,10 @@ def observable_from_spec(spec, dim: int, name: str | None = None,
         matrix = matrix_from_literal(spec, where)
         if matrix.shape != (dim, dim):
             raise SchemaError(f"{where}: shape {matrix.shape} does not match dim {dim}")
-        return eigendecompose(matrix, name=name)
+        try:
+            return eigendecompose(matrix, name=name)
+        except NotHermitian as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     raise SchemaError(f"{where}: expected a name or a matrix literal")
 
 
@@ -153,6 +162,8 @@ def observables_from_dict(obj, where: str = "observables") -> dict[str, Hermitia
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise SchemaError(f"{where}.dim: expected an integer >= 2")
+    if not isinstance(obj["observables"], list):
+        raise SchemaError(f"{where}.observables: expected a list")
     out: dict[str, HermitianObservable] = {}
     for i, entry in enumerate(obj["observables"]):
         here = f"{where}.observables[{i}]"

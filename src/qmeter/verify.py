@@ -18,26 +18,33 @@ Cases are generated from a counter-based stream (Philox keyed by the seed,
 one substream per case), so the suite is reproducible and each case can be
 drawn independently of the others. The cases of one dimension are then
 stacked and evaluated together, every value bit for bit as a case on its own
-would give it. The per-sequence statistics and both disturbance forms come
-from ``backaction``; this module only aggregates them.
+would give it.
+
+The reference arithmetic of these checks lives here: R with its moments and
+commutator bound, and the joint retrodictions r_mf as state vectors, each for
+one case or a stack of cases with the same bits. ``characterize`` reads none
+of it; it works from S = V_B'MV_B (``backaction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .backaction import disturbance_forms, sequence_statistics
-from .measurement import (
-    SLACK_TOL,
-    clamp_variances,
-    commutator_bound,
-    moments,
-    retrodictive_operator,
-    squared,
+from .backaction import WEIGHT_FLOOR, disturbance_eigensum, transition_amplitudes
+from .errors import DimensionMismatch, InternalConsistencyError
+from .measurement import SLACK_TOL, outcome_weight, retrodictive_operator
+from .operators import (
+    HermitianObservable,
+    adjoint,
+    commutator,
+    eigendecompose,
+    inner,
+    named_observable,
+    require_square,
 )
-from .operators import HermitianObservable, commutator, eigendecompose, named_observable
 
 RELATION_NAMES = (
     "resolution_pair",
@@ -61,6 +68,118 @@ DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 988
 # Absolute tolerance on the identity errors the suite reports.
 IDENTITY_TOL = 1e-10
+
+# Variances in [floor, 0) are rounding noise and clamp to zero; anything more
+# negative means the computation itself went wrong.
+NEGATIVE_VARIANCE_FLOOR = -1e-12
+
+
+def clamp_variance(value: float) -> float:
+    """Zero out rounding-level negative variances, reject anything worse."""
+    if value >= 0.0:
+        return value
+    if value >= NEGATIVE_VARIANCE_FLOOR:
+        return 0.0
+    raise InternalConsistencyError(f"variance {value:.3e} below clamp floor")
+
+
+# clamp_variance over an array, in order: the first value below the floor is named.
+clamp_variances = np.vectorize(clamp_variance, otypes=[float])
+
+
+def squared(values: np.ndarray) -> np.ndarray:
+    """values ** 2 through libm pow, as ``**`` on a float computes it: glibc's
+    pow(x, 2) and x * x differ in the last bit on about 0.1% of inputs."""
+    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def moments(observable: np.ndarray, retro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tr{A R} and tr{A^2 R} - tr{A R}^2, the variance in mean-shifted form for
+    stability and unclamped."""
+    mean = np.trace(observable @ retro, axis1=-2, axis2=-1).real
+    shifted = observable - mean[..., None, None] * np.eye(observable.shape[-1])
+    return mean, np.trace(shifted @ retro @ shifted, axis1=-2, axis2=-1).real
+
+
+def commutator_bound(retro: np.ndarray, comm: np.ndarray) -> np.ndarray:
+    """|tr{R [A, B]}|^2 / 4, the bound shared by both uncertainty relations."""
+    return 0.25 * squared(np.abs(np.trace(retro @ comm, axis1=-2, axis2=-1)))
+
+
+def _apply(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """matrix @ state for every state (row) of ``states``, one product each."""
+    return np.matmul(matrix[..., None, :, :], states[..., None])[..., 0]
+
+
+def _moments(states: np.ndarray, applied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First moment and central variance of a Hermitian matrix in pure states,
+    given the matrix applied to each state."""
+    mean = inner(states, applied).real
+    shifted = applied - mean[..., None] * states
+    return mean, inner(shifted, shifted).real
+
+
+class SequenceStatistics(NamedTuple):
+    """Statistics of the sequences (outcome, final result B_f) in their joint
+    retrodictions r_mf, along the last axis by eigen-index f (row f of
+    ``states`` is r_mf). ``kept`` marks the reachable final results, whose
+    weight w_m(B_f) is at least WEIGHT_FLOOR; other entries mean nothing.
+
+    ``disturbance`` is <r_mf|(B_f - B)^2|r_mf>, which splits into the random
+    part ``var_b`` plus the systematic shift (B_f - ``mean_b``)^2;
+    ``abs_commutator`` is |<r_mf|[A,B]|r_mf>|.
+    """
+
+    kept: np.ndarray
+    weights: np.ndarray
+    states: np.ndarray
+    mean_a: np.ndarray
+    var_a: np.ndarray
+    mean_b: np.ndarray
+    var_b: np.ndarray
+    disturbance: np.ndarray
+    abs_commutator: np.ndarray
+
+
+def sequence_statistics(operator, observable_a: HermitianObservable,
+                        observable_b: HermitianObservable,
+                        comm: np.ndarray) -> SequenceStatistics:
+    """Per-sequence estimates, variances, disturbance and commutator magnitude
+    for every final result of B; ``comm`` is [A, B]. ``operator`` is one matrix
+    M or a (..., d, d) stack, and the observables and ``comm`` match it."""
+    op = require_square(np.asarray(operator, dtype=np.complex128), "M")
+    shapes = {x.shape for x in (op, observable_a.matrix, observable_b.matrix, comm)}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"operands have shapes {sorted(shapes)}")
+    total = outcome_weight(op)
+    u = _apply(adjoint(op), observable_b.eigenvectors.swapaxes(-1, -2))  # M'|B_f>
+    q = inner(u, u).real
+    weights = q / total[..., None]
+    kept = weights >= WEIGHT_FLOOR
+    states = u / np.sqrt(np.where(kept, q, 1.0))[..., None]
+    mean_a, var_a = _moments(states, _apply(observable_a.matrix, states))
+    b_states = _apply(observable_b.matrix, states)
+    mean_b, var_b = _moments(states, b_states)
+    shifted = b_states - observable_b.eigenvalues[..., None] * states
+    return SequenceStatistics(
+        kept=kept, weights=weights, states=states, mean_a=mean_a, var_a=var_a,
+        mean_b=mean_b, var_b=var_b, disturbance=inner(shifted, shifted).real,
+        abs_commutator=np.abs(inner(states, _apply(comm, states))))
+
+
+def disturbance_forms(op: np.ndarray, observable: HermitianObservable,
+                      total) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensum and the unclamped trace form (tr{M'B^2M} + tr{B^2M'M}
+    - 2 tr{M'BMB}) / tr{M'M} that disturbance_eigensum_vs_trace compares. It
+    cancels terms of size max|B|^2, so characterize uses the commutator norm."""
+    b = observable.matrix
+    b2 = b @ b
+    adj = adjoint(op)
+    trace_form = (np.trace(adj @ b2 @ op, axis1=-2, axis2=-1)
+                  + np.trace(b2 @ adj @ op, axis1=-2, axis2=-1)
+                  - 2.0 * np.trace(adj @ b @ op @ b, axis1=-2, axis2=-1)).real / total
+    w2 = np.abs(transition_amplitudes(op, observable)) ** 2
+    return disturbance_eigensum(w2, observable, total), trace_form
 
 
 def philox_substreams(seed: int):
@@ -205,8 +324,7 @@ def _running(values, kept, start: float = 0.0, beats=None) -> np.ndarray:
 def _evaluate_stack(stack: _Stack, bound_scale: float) -> tuple[dict, dict]:
     """Slack per relation and error per identity, one entry per case."""
     m, obs_a, obs_b = stack.operators, stack.obs_a, stack.obs_b
-    retro_op = retrodictive_operator(m)
-    retro, total = retro_op.matrix, retro_op.total_weight
+    retro, total = retrodictive_operator(m), outcome_weight(m)
     comm = commutator(obs_a.matrix, obs_b.matrix)
     est_a, var_a = moments(obs_a.matrix, retro)
     var_a = clamp_variances(var_a)

@@ -30,19 +30,11 @@ from qmeter import (
     VerificationReport,
     characterize,
     commutator,
-    disturbance_forms,
     eigendecompose,
     retrodictive_operator,
 )
 from qmeter.backaction import WEIGHT_FLOOR
-from qmeter.measurement import (
-    SLACK_TOL,
-    UNREACHABLE_TRACE_FLOOR,
-    clamp_variance,
-    commutator_bound,
-    moments,
-    outcome_weight,
-)
+from qmeter.measurement import SLACK_TOL, UNREACHABLE_TRACE_FLOOR, outcome_weight
 from qmeter.operators import (
     DEGENERACY_GAP,
     BosonicSpace,
@@ -57,6 +49,10 @@ from qmeter.verify import (
     IDENTITY_NAMES,
     IDENTITY_TOL,
     RELATION_NAMES,
+    clamp_variance,
+    commutator_bound,
+    disturbance_forms,
+    moments,
     random_hermitian,
     random_kraus_operator,
 )
@@ -133,9 +129,9 @@ def quadratic_error(operator, observable: HermitianObservable, assigned_value: f
     estimate, so it is minimized exactly at tr{A R}.
     """
     retro = retrodictive_operator(operator)
-    require_same_dim(retro.matrix, observable.matrix)
-    shifted = observable.matrix - float(assigned_value) * np.eye(retro.matrix.shape[0])
-    return clamp_variance(float(np.trace(shifted @ retro.matrix @ shifted).real))
+    require_same_dim(retro, observable.matrix)
+    shifted = observable.matrix - float(assigned_value) * np.eye(retro.shape[0])
+    return clamp_variance(float(np.trace(shifted @ retro @ shifted).real))
 
 
 def retrodictive_path(operator, obs_a: HermitianObservable,
@@ -143,7 +139,7 @@ def retrodictive_path(operator, obs_a: HermitianObservable,
     """The per-outcome numbers from R = M'M / tr{M'M} itself, the path that
     ``verify`` takes: (estimate, unclamped variance) of A and of B under R
     (``moments``), and |tr{R [A, B]}|^2 / 4 (``commutator_bound``)."""
-    retro = retrodictive_operator(operator).matrix
+    retro = retrodictive_operator(operator)
     row_a, row_b = (tuple(float(v) for v in moments(obs.matrix, retro))
                     for obs in (obs_a, obs_b))
     comm = commutator(obs_a.matrix, obs_b.matrix)
@@ -405,10 +401,10 @@ def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
     m, obs_a, obs_b = case.operator, case.obs_a, case.obs_b
     retro = retrodictive_operator(m)
     comm = commutator(obs_a.matrix, obs_b.matrix)
-    est_a = float(moments(obs_a.matrix, retro.matrix)[0])
-    var_a = clamp_variance(float(moments(obs_a.matrix, retro.matrix)[1]))
-    var_b = clamp_variance(float(moments(obs_b.matrix, retro.matrix)[1]))
-    trace_bound = 0.25 * abs(np.trace(retro.matrix @ comm)) ** 2 * bound_scale
+    est_a = float(moments(obs_a.matrix, retro)[0])
+    var_a = clamp_variance(float(moments(obs_a.matrix, retro)[1]))
+    var_b = clamp_variance(float(moments(obs_b.matrix, retro)[1]))
+    trace_bound = 0.25 * abs(np.trace(retro @ comm)) ** 2 * bound_scale
 
     min_seq_pair = np.inf
     min_seq_dist = np.inf
@@ -416,7 +412,7 @@ def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
     avg_dist = 0.0
     avg_abs_comm = 0.0
     spread = 0.0
-    recon = np.zeros_like(retro.matrix)
+    recon = np.zeros_like(retro)
     max_split_error = 0.0
     for s in sequence_statistics(m, obs_a, obs_b, comm):
         j = s.joint
@@ -433,7 +429,7 @@ def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
             abs(s.disturbance - (s.var_b + (j.final_value - s.mean_b) ** 2)))
 
     averaged_bound = 0.25 * avg_abs_comm ** 2 * bound_scale
-    eigensum, trace_form = disturbance_forms(m, obs_b, retro.total_weight)
+    eigensum, trace_form = disturbance_forms(m, obs_b, outcome_weight(m))
 
     slacks = {
         "resolution_pair": var_a * var_b - trace_bound,
@@ -444,7 +440,7 @@ def evaluate_case(case: Case, bound_scale: float) -> tuple[dict, dict]:
         "resolution_disturbance": var_a * eigensum - trace_bound,
     }
     errors = {
-        "retrodiction_reconstruction": float(np.max(np.abs(recon - retro.matrix))),
+        "retrodiction_reconstruction": float(np.max(np.abs(recon - retro))),
         "disturbance_eigensum_vs_trace": abs(eigensum - trace_form),
         "disturbance_weighted_average": abs(eigensum - avg_dist),
         "conditional_disturbance_split": max_split_error,

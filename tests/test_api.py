@@ -11,15 +11,15 @@ EXPORTS = [
     "DisturbanceReport", "EavesdropReport", "HermitianObservable", "IncompleteKrausSet",
     "InternalConsistencyError", "KrausSet", "NonUnitState", "NotHermitian",
     "ObservableRow", "OutcomeCharacterization", "PairCheck", "PairRow", "QmeterError",
-    "ResolutionDisturbanceCheck", "RetrodictiveOperator", "ScenarioConfig",
+    "ResolutionDisturbanceCheck", "ScenarioConfig",
     "ScenarioReport", "SchemaError", "TeleportationCharacterization", "TruncationError",
     "UnknownObservable", "UnreachableOutcome", "VerificationReport",
     "bosonic_operators", "characterize", "classical_teleportation_preset",
-    "cloning_error", "coherent_state", "commutator", "disturbance_forms",
+    "cloning_error", "coherent_state", "commutator",
     "eavesdrop_simulation", "eigendecompose", "named_observable",
     "photon_detector_preset", "qnd_preset", "random_hermitian", "random_kraus_operator",
     "retrodictive_operator", "run_scenario", "run_verification_suite",
-    "sequence_statistics", "validate_completeness",
+    "validate_completeness",
 ]
 
 
@@ -27,4 +27,4 @@ def test_exported_names():
     exported = sorted(name for name in dir(qmeter) if not name.startswith("_")
                       and not isinstance(getattr(qmeter, name), types.ModuleType))
     assert exported == EXPORTS
-    assert len(EXPORTS) == 52
+    assert len(EXPORTS) == 49

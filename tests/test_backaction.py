@@ -14,18 +14,21 @@ from qmeter import (
     KrausSet,
     characterize,
     commutator,
-    disturbance_forms,
     eigendecompose,
     named_observable,
     retrodictive_operator,
-    sequence_statistics,
 )
 from qmeter import backaction
 from qmeter.backaction import WEIGHT_FLOOR
 from qmeter.measurement import norm_trace
 from qmeter.operators import DEGENERACY_GAP, BosonicSpace
 from qmeter.scenarios import qnd_preset
-from qmeter.verify import random_hermitian, random_kraus_operator
+from qmeter.verify import (
+    disturbance_forms,
+    random_hermitian,
+    random_kraus_operator,
+    sequence_statistics,
+)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -278,7 +281,7 @@ def decomposition(m, obs_a, obs_b):
     spread = sum(s.joint.weight * (s.mean_a - estimate) ** 2 for s in seqs)
     gap = resolution - averaged
     return SimpleNamespace(
-        reconstruction_error=float(np.max(np.abs(recon - retro.matrix))),
+        reconstruction_error=float(np.max(np.abs(recon - retro))),
         resolution=resolution, averaged_resolution=averaged, gap=gap,
         estimate_spread=spread, gap_error=abs(gap - spread))
 

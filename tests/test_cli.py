@@ -211,6 +211,7 @@ EAVESDROP = {"scenario": "eavesdrop", "dim": 2, "observables": {"A": "sz", "B": 
                  {"label": "1", "matrix": matrix_to_literal(np.diag([0.0, 1.0]))}]}}
 QND = {"scenario": "qnd", "dim": 6, "pointer_sigma": 2, "outcome_grid": [0, 1, 2, 3, 4, 5]}
 IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_literal(np.eye(2))}]}
+UPPER = matrix_to_literal(np.triu(np.ones((2, 2))))  # not Hermitian
 
 
 @pytest.mark.parametrize("argv", [
@@ -267,6 +268,16 @@ IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_litera
     ["characterize", IDENTITY_SET, "--observables", {"dim": 3, "observables": [{"name": "n"}]}],
     ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"},
                   "states": [[[1.0, 0.0], [1.0, 0.0]]]}],
+    ["characterize", IDENTITY_SET, "--observables",
+     {"dim": 2, "observables": [{"name": "up", "matrix": UPPER}]}],
+    ["scenario", {"scenario": "photon", "dim": 2, "observables": {"A": UPPER}}],
+    ["characterize", IDENTITY_SET, "--observables", {"dim": 2, "observables": 5}],
+    ["scenario", {"scenario": "cloning", "dim": 2, "observables": {"A": "sx"}, "states": 5}],
+    ["scenario", {**EAVESDROP, "kraus": {"file": 5}}],
+    ["scenario", {"scenario": "classical_teleport", "dim": 4, "alpha": "3+0i"}],
+    ["characterize", "--preset", "qnd", "--dim", "10", "--sigma", "0.1", "--grid=0,1"],
+    ["scenario", {"scenario": "qnd", "dim": 10, "pointer_sigma": 0.1, "outcome_grid": [0, 1]}],
+    ["validate", {"dim": 2, "outcomes": [IDENTITY_SET["outcomes"][0]] * 2}],
 ], ids=["verify-dims", "verify-dim-zero", "verify-dims-empty-range", "verify-dims-empty-list",
         "verify-samples", "verify-seed", "verify-seed-2^128", "photon-dim", "qnd-sigma",
         "qnd-grid-nan-flag", "scenario-name",
@@ -284,7 +295,11 @@ IDENTITY_SET = {"dim": 2, "outcomes": [{"label": "0", "matrix": matrix_to_litera
         "scenario-qnd-seed", "scenario-qnd-seed-flag", "scenario-unknown-field",
         "scenario-unknown-observable-key", "validate-rows-bool", "validate-dim-float",
         "validate-dim-bool", "validate-mixed-dims", "characterize-observables-dim",
-        "scenario-state-not-unit"])
+        "scenario-state-not-unit", "characterize-observable-not-hermitian",
+        "scenario-observable-not-hermitian", "characterize-observables-not-list",
+        "scenario-states-not-list", "scenario-kraus-file-not-path",
+        "scenario-alpha-beyond-truncation", "qnd-grid-leaves-level-flag",
+        "scenario-qnd-grid-leaves-level", "validate-duplicate-labels"])
 def test_bad_input_is_input_error(argv, tmp_path, capsys):
     argv = [write_json(tmp_path / f"arg{i}.json", a) if isinstance(a, dict)
             else a(tmp_path) if callable(a) else a for i, a in enumerate(argv)]
@@ -328,6 +343,29 @@ def test_non_finite_float_flags_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["validate", "k.json", "--tol=-1e-9"], "expected a number >= 0"),
+    (["characterize", "k.json", "--tol=-1"], "expected a number >= 0"),
+    (["verify", "--dims", "2", "--samples", "5", "--tol=-1e-10"],
+     "expected a number >= 0"),
+    (["verify", "--dims", "2", "--samples", "5", "--bound-scale", "0"],
+     "expected a number > 0"),
+    (["verify", "--dims", "2", "--samples", "5", "--bound-scale=-1"],
+     "expected a number > 0"),
+], ids=["validate-tol", "characterize-tol", "verify-tol", "bound-scale-zero",
+        "bound-scale-negative"])
+def test_out_of_range_float_flags_are_rejected(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted(projective_file, capsys):
+    assert main(["validate", projective_file, "--tol", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
 @pytest.mark.parametrize("command", ["characterize", "verify", "scenario"])

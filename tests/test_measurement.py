@@ -23,8 +23,8 @@ from qmeter import (
     retrodictive_operator,
     validate_completeness,
 )
-from qmeter.measurement import moments
-from qmeter.verify import random_hermitian, random_kraus_operator
+from qmeter.measurement import outcome_weight
+from qmeter.verify import moments, random_hermitian, random_kraus_operator
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -128,17 +128,18 @@ class TestPostMeasurementState:
 class TestRetrodictiveOperator:
     def test_absorber(self):
         retro = retrodictive_operator(ABSORB)
-        assert np.allclose(retro.matrix, proj(KET1), atol=1e-15)
-        assert retro.total_weight == pytest.approx(1.0)
+        assert np.allclose(retro, proj(KET1), atol=1e-15)
+        assert not retro.flags.writeable
+        assert outcome_weight(ABSORB) == pytest.approx(1.0)
 
     def test_uninformative(self):
         retro = retrodictive_operator(np.eye(2) / math.sqrt(2))
-        assert np.allclose(retro.matrix, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(retro, np.eye(2) / 2, atol=1e-15)
 
     def test_diagonal_damping(self):
         # oracle: M'M = diag(1, 1/4), trace 5/4 -> R = diag(4/5, 1/5)
         retro = retrodictive_operator(np.diag([1.0, 0.5]))
-        assert np.allclose(retro.matrix, np.diag([0.8, 0.2]), atol=1e-15)
+        assert np.allclose(retro, np.diag([0.8, 0.2]), atol=1e-15)
 
     def test_unreachable(self):
         with pytest.raises(UnreachableOutcome):
@@ -151,8 +152,8 @@ class TestRetrodictiveOperator:
             m = random_kraus_operator(dim, rng)
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             u, _ = np.linalg.qr(g)
-            r1 = retrodictive_operator(m).matrix
-            r2 = retrodictive_operator(u @ m).matrix
+            r1 = retrodictive_operator(m)
+            r2 = retrodictive_operator(u @ m)
             assert np.max(np.abs(r1 - r2)) < 1e-12
 
     def test_invariants_on_random_operators(self):
@@ -160,8 +161,8 @@ class TestRetrodictiveOperator:
         for _ in range(50):
             dim = int(rng.integers(2, 7))
             retro = retrodictive_operator(random_kraus_operator(dim, rng))
-            assert abs(np.trace(retro.matrix).real - 1.0) < 1e-10
-            assert np.linalg.eigvalsh(retro.matrix)[0] >= -1e-10
+            assert abs(np.trace(retro).real - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(retro)[0] >= -1e-10
 
 
 class TestOptimalEstimate:
@@ -269,12 +270,12 @@ class TestResolutionPair:
 
 class TestVarianceClamp:
     def test_rounding_noise_clamps_to_zero(self):
-        from qmeter.measurement import clamp_variance
+        from qmeter.verify import clamp_variance
         assert clamp_variance(-5e-13) == 0.0
         assert clamp_variance(0.25) == 0.25
 
     def test_worse_values_raise(self):
-        from qmeter.measurement import clamp_variance
+        from qmeter.verify import clamp_variance
         from qmeter import InternalConsistencyError
         with pytest.raises(InternalConsistencyError):
             clamp_variance(-1e-6)
@@ -298,6 +299,6 @@ class TestParabolaIdentity:
 def test_retrodictive_expectation_accepts_raw_matrices():
     retro = retrodictive_operator(np.diag([1.0, 0.5]))
     sz_matrix = np.diag([1.0, -1.0])
-    mean, var = moments(sz_matrix, retro.matrix)
+    mean, var = moments(sz_matrix, retro)
     assert mean == pytest.approx(0.6, abs=1e-15)
     assert var == pytest.approx(1.0 - 0.36, abs=1e-12)

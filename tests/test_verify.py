@@ -16,14 +16,12 @@ from qmeter import (
     random_hermitian,
     retrodictive_operator,
     run_verification_suite,
-    sequence_statistics,
     validate_completeness,
 )
 from qmeter import cli, verify
 from qmeter.backaction import WEIGHT_FLOOR
-from qmeter.measurement import clamp_variances
 from qmeter.serialization import make_manifest, report_json_bytes
-from qmeter.verify import IDENTITY_NAMES, RELATION_NAMES
+from qmeter.verify import IDENTITY_NAMES, RELATION_NAMES, clamp_variances, sequence_statistics
 
 
 def result_fingerprint(report):
@@ -123,7 +121,7 @@ def test_squares_go_through_pow():
     # that squares with x * x moves two of this case's slacks.
     case = oracles.case_for(2, 107, 988)
     retro = retrodictive_operator(case.operator)
-    x = abs(np.trace(retro.matrix @ commutator(case.obs_a.matrix, case.obs_b.matrix)))
+    x = abs(np.trace(retro @ commutator(case.obs_a.matrix, case.obs_b.matrix)))
     assert x * x != x ** 2
     assert_matches_oracle(random_stack(2, [107], 988), [case], 1.0)
 
@@ -164,6 +162,19 @@ def test_stacked_checks_raise_the_per_case_errors():
     assert clamp_variances(np.array([0.25, -5e-13])).tolist() == [0.25, 0.0]
     with pytest.raises(InternalConsistencyError, match="clamp floor"):
         clamp_variances(np.array([0.25, -1e-6]))
+
+
+REFERENCE_NAMES = ("moments", "commutator_bound", "clamp_variance", "clamp_variances",
+                   "squared", "sequence_statistics", "disturbance_forms",
+                   "retrodictive_operator")
+
+
+@pytest.mark.parametrize("name", ["qmeter.backaction", "qmeter.characterize"])
+def test_kernel_holds_no_reference_arithmetic(name):
+    # verify's identities compare its own R and state-vector path with the
+    # S kernel that characterize reads; the kernel must not reach the former.
+    module = importlib.import_module(name)
+    assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
 
 
 @pytest.mark.parametrize("seed,samples,bound_scale", [
