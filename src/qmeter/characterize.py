@@ -10,7 +10,7 @@ these numbers: the CLI and every scenario read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .measurement import (
     outcome_weight,
     validate_completeness,
 )
-from .operators import HermitianObservable, commutator
+from .operators import HermitianObservable, commutator, real_if_exact
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,21 @@ def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable, var_a: 
     return resolution_check, disturbance_check
 
 
+def _narrowed(operators: Sequence[np.ndarray], observables: Mapping[str, HermitianObservable]):
+    """The operators and observables as float64 copies when every operator and
+    every observable's matrix and eigenvectors is exactly real, else as given.
+    One dtype holds for the whole call: a real @ complex product would upcast a
+    fresh complex copy of its real operand on every matmul. The operators are
+    copied one at a time as the caller iterates, so no second set is held."""
+    obs = {name: replace(o, matrix=real_if_exact(o.matrix),
+                         eigenvectors=real_if_exact(o.eigenvectors))
+           for name, o in observables.items()}
+    arrays = (a for o in obs.values() for a in (o.matrix, o.eigenvectors))
+    if any(np.iscomplexobj(a) for a in arrays) or any(np.any(op.imag) for op in operators):
+        return operators, observables
+    return map(real_if_exact, operators), obs
+
+
 def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable],
                  pairs: Sequence[tuple[str, str]] = (),
                  completeness_tol: float = COMPLETENESS_TOL,
@@ -144,7 +159,9 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
     """Characterize every outcome of a measurement, or only those labelled in
     ``outcomes``, against named observables; completeness covers the whole set.
     Every per-outcome number but the commutator-norm cross-check is read from
-    one S = V'MV per observable and, per pair, S V_B'[A, B]V_B; no R is formed."""
+    one S = V'MV per observable and, per pair, S V_B'[A, B]V_B; no R is formed.
+    When the set and the observables are exactly real, these products run in
+    float64."""
     for a, b in pairs:
         for name in (a, b):
             if name not in observables:
@@ -154,11 +171,12 @@ def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable]
             raise DimensionMismatch(f"observable {name!r} has dimension {obs.dim}, "
                                     f"the Kraus set has {kraus.dim}")
     completeness = validate_completeness(kraus, completeness_tol)
+    operators, observables = _narrowed(kraus.operators, observables)
     comms_b = {(a, b): transition_amplitudes(
         commutator(observables[a].matrix, observables[b].matrix), observables[b])
         for a, b in pairs}
     results = []
-    for label, op in kraus.items():
+    for label, op in zip(kraus.labels, operators):
         if outcomes is not None and label not in outcomes:
             continue
         try:

@@ -17,7 +17,7 @@ from typing import Hashable, Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, UnreachableOutcome
-from .operators import adjoint, as_complex_matrix, inner, require_square
+from .operators import adjoint, as_complex_matrix, inner, real_if_exact, require_square
 
 # Deviation allowed in || sum M'M - 1 ||_max for a set to count as complete.
 COMPLETENESS_TOL = 1e-9
@@ -81,9 +81,11 @@ class CompletenessReport:
 
 
 def completeness_deviation(kraus: KrausSet) -> float:
-    """|| sum_m M_m'M_m - 1 ||_max."""
+    """|| sum_m M_m'M_m - 1 ||_max; an exactly real M_m forms its Gram matrix in
+    real arithmetic."""
     total = np.zeros((kraus.dim, kraus.dim), dtype=np.complex128)
     for op in kraus.operators:
+        op = real_if_exact(op)
         total += op.conj().T @ op
     return float(np.max(np.abs(total - np.eye(kraus.dim))))
 

@@ -1,8 +1,11 @@
 """Complex matrix algebra, Hermitian spectral data and truncated bosonic operators.
 
-Matrices are plain numpy arrays (complex128); states are 1-D unit vectors.
-Everything constructed here comes back with write access disabled, so values
-can be shared across threads without copying or locking.
+Matrices are plain numpy arrays, complex128 as constructed here; states are
+1-D unit vectors. ``real_if_exact`` narrows a matrix whose imaginary parts are
+all exactly 0.0 to float64, so products of real operands run in real BLAS, and
+``commutator`` keeps float64 when both operands are real. Everything
+constructed here comes back with write access disabled, so values can be
+shared across threads without copying or locking.
 """
 
 from __future__ import annotations
@@ -60,9 +63,23 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def real_if_exact(matrix: np.ndarray) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of a complex matrix whose
+    imaginary parts are all exactly 0.0, with no tolerance; any other matrix
+    as given."""
+    if not np.iscomplexobj(matrix) or np.any(matrix.imag):
+        return matrix
+    real = np.ascontiguousarray(matrix.real, dtype=np.float64)
+    real.setflags(write=False)
+    return real
+
+
 def commutator(a, b) -> np.ndarray:
-    """AB - BA for square matrices of equal dimension, or two (..., d, d) stacks."""
-    a, b = (require_square(np.asarray(m, dtype=np.complex128)) for m in (a, b))
+    """AB - BA for square matrices of equal dimension, or two (..., d, d) stacks:
+    float64 when both operands are real, complex128 otherwise."""
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(a, b, np.float64)
+    a, b = (require_square(m.astype(dtype, copy=False)) for m in (a, b))
     if a.shape != b.shape:
         raise DimensionMismatch(f"commutator of shapes {a.shape} and {b.shape}")
     return a @ b - b @ a

@@ -353,9 +353,14 @@ def eavesdrop_simulation(config: ScenarioConfig) -> EavesdropReport:
     bases = (config.observable_a, config.observable_b)
     report = characterize(kraus, {"A": bases[0], "B": bases[1]})
     completeness = report.completeness
-    if not kraus.complete or not completeness.passed:
+    if not kraus.complete:
         raise IncompleteKrausSet(
-            f"eavesdropping requires a complete set (deviation {completeness.max_deviation:.3e})")
+            "eavesdropping requires a complete set; this one is declared partial "
+            "(complete: false)")
+    if not completeness.passed:
+        raise IncompleteKrausSet(
+            f"eavesdropping requires a complete set; its deviation "
+            f"{completeness.max_deviation:.3e} exceeds tolerance {completeness.tolerance:.3e}")
     unreachable = [o.outcome for o in report.outcomes if o.status != "ok"]
     if unreachable:
         raise UnreachableOutcome(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ from qmeter import (
 from qmeter import backaction
 from qmeter.backaction import WEIGHT_FLOOR
 from qmeter.measurement import norm_trace
-from qmeter.operators import DEGENERACY_GAP, BosonicSpace
+from qmeter.operators import DEGENERACY_GAP, BosonicSpace, real_if_exact
 from qmeter.scenarios import qnd_preset
 from qmeter.verify import (
     disturbance_forms,
@@ -399,6 +400,8 @@ def test_disturbance_cross_check_survives_large_spectra():
 
 
 LARGE_DEGENERATE = eigendecompose(np.diag([3000.0, 3000.0, 3000.0, 0.0, 1.0, 2.0]))
+# sx with float64 matrix and eigenvectors, so characterize takes the real path
+REAL_SX = replace(SX, matrix=real_if_exact(SX.matrix), eigenvectors=real_if_exact(SX.eigenvectors))
 
 
 def test_disturbance_cross_check_allows_trace_form_rounding():
@@ -453,7 +456,8 @@ def test_commutator_norm_within_identity_tolerance(dim, seed, kind):
 @pytest.mark.parametrize("observable,op", [
     (LARGE_DEGENERATE, np.diag(np.arange(1.0, 7.0)).astype(complex)),
     (SX, np.diag([0.3, 0.9]).astype(complex)),
-], ids=["large-spectrum", "unit-spectrum"])
+    (REAL_SX, np.diag([0.3, 0.9])),
+], ids=["large-spectrum", "unit-spectrum", "float64"])
 def test_disturbance_cross_check_negative_control(observable, op, monkeypatch):
     # the commutator norm offset by 10x the allowed gap must trip the check
     total = float(norm_trace(op))
@@ -509,10 +513,11 @@ def random_unitary(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def ramp_observable(dim, rng):
+def ramp_observable(dim, rng, real=False):
     """Clusters of eigenvalues whose adjacent gaps are zero or below the
     degeneracy threshold, so eigenvalue_groups chains each cluster into one
-    group; distinct clusters lie at least ``scale`` apart."""
+    group; distinct clusters lie at least ``scale`` apart. ``real`` rotates
+    them by a real orthogonal matrix instead of a unitary."""
     scale = 10.0 ** rng.uniform(-1.0, 2.0)
     centres = rng.permutation(np.arange(-dim, dim))
     vals = []
@@ -521,7 +526,7 @@ def ramp_observable(dim, rng):
         vals.extend(scale * centre + step * np.arange(int(rng.integers(1, 5))))
         if len(vals) >= dim:
             break
-    u = random_unitary(dim, rng)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if real else random_unitary(dim, rng)
     return eigendecompose(u @ np.diag(vals[:dim]) @ u.conj().T, name="B")
 
 
@@ -667,6 +672,81 @@ def test_qnd_d120_resolutions_match_retrodictive_path():
     report = assert_matches_retrodictive_path(
         kraus, named_observable("n", 120), named_observable("x", 120))
     assert [o.status for o in report.outcomes] == ["ok"] * 141
+
+
+def random_real_complete_set(dim, n_outcomes, rng):
+    """Real Ginibre blocks whitened by their summed Gram matrix: a complete set
+    whose operators are exactly real."""
+    blocks = [rng.standard_normal((dim, dim)) for _ in range(n_outcomes)]
+    vals, vecs = np.linalg.eigh(sum(b.T @ b for b in blocks))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    return KrausSet(operators=tuple(b @ inv_sqrt for b in blocks), complete=True)
+
+
+def assert_real_path_matches_complex_path(kraus, obs_a, obs_b):
+    """characterize on an exactly real set, which runs its products in float64,
+    against the same set times e^{0.3i}, which forces complex128 and leaves
+    every reported number the same in exact arithmetic."""
+    arrays = (*kraus.operators, *(a for o in (obs_a, obs_b) for a in (o.matrix, o.eigenvectors)))
+    assert all(real_if_exact(a).dtype == np.float64 for a in arrays)
+    phased = KrausSet(tuple(np.exp(0.3j) * op for op in kraus.operators), kraus.labels,
+                      kraus.complete)
+    real, ref = (characterize(k, {"A": obs_a, "B": obs_b}, [("A", "B")]) for k in (kraus, phased))
+    tol = record_tolerance(1.0)
+    scale_a, scale_b = (max(1.0, float(np.max(np.abs(o.eigenvalues)))) for o in (obs_a, obs_b))
+
+    def close(got, want, scale):
+        assert got == pytest.approx(want, rel=tol, abs=tol * scale)
+
+    assert real.completeness.passed == ref.completeness.passed
+    close(real.completeness.max_deviation, ref.completeness.max_deviation, 1.0)
+    for got, want in zip(real.outcomes, ref.outcomes, strict=True):
+        assert (got.outcome, got.status) == (want.outcome, want.status)
+        for row, row_ref, scale in zip(got.rows, want.rows, (scale_a, scale_b), strict=True):
+            close(row.estimate, row_ref.estimate, scale)
+            close(row.resolution, row_ref.resolution, scale ** 2)
+            close(row.disturbance, row_ref.disturbance, scale ** 2)
+            dist, dist_ref = row.disturbance_report, row_ref.disturbance_report
+            close(dist.trace_form, dist_ref.trace_form, scale ** 2)
+            for rec, rec_ref in zip(dist.records, dist_ref.records, strict=True):
+                assert rec.final_value == rec_ref.final_value
+                close(rec.weight, rec_ref.weight, 1.0)
+                for field in ("random", "systematic", "total"):
+                    close(getattr(rec, field), getattr(rec_ref, field), scale ** 2)
+        for pair, pair_ref in zip(got.pairs, want.pairs, strict=True):
+            res, res_ref = pair.resolution_check, pair_ref.resolution_check
+            dis, dis_ref = pair.disturbance_check, pair_ref.disturbance_check
+            for check, check_ref, fields in (
+                    (res, res_ref, ("var_a", "var_b", "product", "bound", "slack")),
+                    (dis, dis_ref, ("resolution", "disturbance", "product", "bound", "slack",
+                                    "averaged_bound", "chain_slack"))):
+                for field in fields:
+                    close(getattr(check, field), getattr(check_ref, field),
+                          (scale_a * scale_b) ** 2)
+            assert (res.satisfied, dis.satisfied, dis.chain_ok) == \
+                (res_ref.satisfied, dis_ref.satisfied, dis_ref.chain_ok)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_real_path_matches_complex_path(dim, n_outcomes, seed, degenerate):
+    # random real complete sets and real observables; B is a real-rotated
+    # ramp of exactly and nearly degenerate eigenvalues when ``degenerate``
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    kraus = random_real_complete_set(dim, n_outcomes, rng)
+    g = rng.standard_normal((dim, dim))
+    obs_a = eigendecompose((g + g.T) / 2.0, name="A")
+    g = rng.standard_normal((dim, dim))
+    obs_b = ramp_observable(dim, rng, real=True) if degenerate else \
+        eigendecompose((g + g.T) / 2.0, name="B")
+    assert_real_path_matches_complex_path(kraus, obs_a, obs_b)
+
+
+def test_qnd_d120_real_path_matches_complex_path():
+    # all 141 outcomes of the d=120 QND preset with {n, x} and the pair (n, x)
+    kraus = qnd_preset(BosonicSpace(120), 5.0, range(-10, 131))
+    assert_real_path_matches_complex_path(
+        kraus, named_observable("n", 120), named_observable("x", 120))
 
 
 def test_unreachable_outcome():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -14,13 +15,15 @@ from qmeter import (
     TruncationError,
     UnknownObservable,
     bosonic_operators,
+    characterize,
     coherent_state,
     commutator,
     eigendecompose,
     named_observable,
 )
 from qmeter import operators
-from qmeter.operators import DEGENERACY_GAP, lowering_operator
+from qmeter.operators import DEGENERACY_GAP, lowering_operator, real_if_exact
+from qmeter.scenarios import qnd_preset
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -152,6 +155,51 @@ class TestCommutator:
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             assert abs(np.trace(commutator(a, b))) < 1e-12 * d * np.abs(a).max() * np.abs(b).max()
+
+    def test_real_operands_stay_real(self):
+        real = commutator(SZ.real, SX.real)
+        assert real.dtype == np.float64
+        np.testing.assert_array_equal(real, commutator(SZ, SX).real)
+        for a, b in ((SZ.real, SY), (SY, SX.real), (SZ, SX)):
+            assert commutator(a, b).dtype == np.complex128
+
+
+class TestRealIfExact:
+    def test_exactly_real_narrows_to_a_read_only_contiguous_copy(self):
+        m = np.arange(12.0).reshape(3, 4)[:, ::-1] + 0j
+        real = real_if_exact(m)
+        assert real.dtype == np.float64
+        assert real.flags.c_contiguous and not real.flags.writeable
+        np.testing.assert_array_equal(real, m.real)
+
+    def test_any_imaginary_part_keeps_the_input(self):
+        # no tolerance: a single 1e-300 imaginary part keeps complex128
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = 1e-300j
+        assert real_if_exact(m) is m
+
+    def test_real_input_is_returned_as_given(self):
+        m = np.eye(3)
+        assert real_if_exact(m) is m
+
+    @pytest.mark.parametrize("names,real", [(("n", "x"), True), (("n", "y"), False)],
+                             ids=["n,x", "n,y"])
+    def test_qnd_preset_kernel_dtype(self, names, real, monkeypatch):
+        # {n, x} and the QND operators are exactly real, so characterize's
+        # per-outcome products run in float64; y's eigenvectors are complex, so
+        # {n, y} keeps every operand complex128
+        module = importlib.import_module("qmeter.characterize")
+        final_statistics, seen = module.final_statistics, set()
+
+        def spy(op, total, observable):
+            seen.update(a.dtype for a in (op, observable.matrix, observable.eigenvectors))
+            return final_statistics(op, total, observable)
+
+        monkeypatch.setattr(module, "final_statistics", spy)
+        kraus = qnd_preset(BosonicSpace(30), 5.0, range(-10, 41))
+        observables = {name: named_observable(name, 30) for name in names}
+        characterize(kraus, observables, [names])
+        assert seen == {np.dtype(np.float64 if real else np.complex128)}
 
 
 class TestBosonicOperators:

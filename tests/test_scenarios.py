@@ -245,6 +245,18 @@ class TestEavesdrop:
         with pytest.raises(IncompleteKrausSet):
             eavesdrop_simulation(self.config(partial))
 
+    def test_incomplete_set_message_names_its_cause(self):
+        # {identity, zero} sums to the identity: declared partial, it must be
+        # blamed on the declaration, not on a deviation of 0
+        ops = (np.eye(2), np.zeros((2, 2)))
+        declared = KrausSet(operators=ops, labels=("id", "never"), complete=False)
+        with pytest.raises(IncompleteKrausSet, match=r"declared partial \(complete: false\)"):
+            eavesdrop_simulation(self.config(declared))
+        short = KrausSet(operators=(0.5 * np.eye(2),), complete=True)
+        with pytest.raises(IncompleteKrausSet,
+                           match="deviation 7.500e-01 exceeds tolerance 1.000e-09"):
+            eavesdrop_simulation(self.config(short))
+
     @pytest.mark.parametrize("forwarding", ["resend", "reprepare"])
     def test_unreachable_outcome_rejected_before_sampling(self, forwarding, monkeypatch):
         # a zero operator completes the set but never occurs: neither mode may
