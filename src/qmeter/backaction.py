@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .measurement import norm_trace
-from .operators import HermitianObservable, adjoint, commutator
+from .operators import HermitianObservable, commutator
 
 # Final outcomes whose weight w_m(B_f) falls below this floor are dropped
 # (their exact weight is a rounding-level zero).
@@ -60,8 +60,7 @@ class DisturbanceReport:
 def transition_amplitudes(op: np.ndarray, observable: HermitianObservable) -> np.ndarray:
     """S = V_B'MV_B, with <B_f|M|B_i> in row f and column i, for one M or a
     (..., d, d) stack."""
-    vecs = observable.eigenvectors
-    return adjoint(vecs) @ op @ vecs
+    return observable.adjoint_eigenvectors @ op @ observable.eigenvectors
 
 
 def disturbance_eigensum(w2: np.ndarray, observable: HermitianObservable, total) -> np.ndarray:

@@ -107,6 +107,14 @@ class HermitianObservable:
         return self.matrix.shape[-1]
 
     @cached_property
+    def adjoint_eigenvectors(self) -> np.ndarray:
+        """V' for V = ``eigenvectors``, formed once per observable; a copy made
+        with ``dataclasses.replace`` forms its own."""
+        vecs = adjoint(self.eigenvectors)
+        vecs.setflags(write=False)
+        return vecs
+
+    @cached_property
     def group_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigen-indices grouped by (near-)degenerate eigenvalue, computed once
         per observable.

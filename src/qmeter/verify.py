@@ -397,6 +397,7 @@ def run_verification_suite(dims=DEFAULT_DIMS, samples: int = DEFAULT_SAMPLES,
             relations[name].update(slack, slack_tol, stack)
         for name, error in errors.items():
             identities[name].update(error, stack)
+        del stack  # before the next is drawn, so one stack is held at a time
 
     return VerificationReport(
         dims=dims, samples_per_dim=samples, seed=seed,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -122,6 +123,34 @@ def test_group_table_matches_grouping_loop(clusters, log_scale):
     assert np.array_equal(values, [value for value, _ in groups])
     assert np.array_equal(index, np.concatenate([np.full(len(idx), g)
                                                  for g, (_, idx) in enumerate(groups)]))
+
+
+class TestAdjointEigenvectors:
+    def test_formed_once_read_only(self):
+        obs = named_observable("y", 6)
+        vt = obs.adjoint_eigenvectors
+        assert obs.adjoint_eigenvectors is vt and not vt.flags.writeable
+        np.testing.assert_array_equal(vt, obs.eigenvectors.conj().T)
+
+    def test_replaced_copy_forms_its_own(self):
+        # characterize's narrowing makes float64 copies with dataclasses.replace;
+        # a copy must not read the adjoint cached on the observable it came from
+        obs = named_observable("x", 6)
+        cached = obs.adjoint_eigenvectors
+        narrowed = dataclasses.replace(obs, eigenvectors=real_if_exact(obs.eigenvectors))
+        assert "adjoint_eigenvectors" not in vars(narrowed)
+        assert narrowed.adjoint_eigenvectors.dtype == np.float64
+        np.testing.assert_array_equal(narrowed.adjoint_eigenvectors, cached.real)
+        flipped = dataclasses.replace(obs, eigenvectors=obs.eigenvectors[:, ::-1])
+        np.testing.assert_array_equal(flipped.adjoint_eigenvectors, cached[::-1])
+
+    def test_complex_characterize_reuses_the_callers_adjoint(self):
+        # {n, y} stays complex128, so the kernel reads the caller's observables
+        # and forms each V' once for all 51 outcomes
+        kraus = qnd_preset(BosonicSpace(30), 5.0, range(-10, 41))
+        observables = {name: named_observable(name, 30) for name in ("n", "y")}
+        characterize(kraus, observables, [("n", "y")])
+        assert all("adjoint_eigenvectors" in vars(obs) for obs in observables.values())
 
 
 class TestCommutator:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import random_complete_kraus_set, save_kraus_set
-from qmeter import cli
+from qmeter import cli, serialization
 from qmeter import (
     KrausSet,
     SchemaError,
@@ -235,6 +235,30 @@ class Empty:
     pass
 
 
+@dataclasses.dataclass(frozen=True)
+class Flat:
+    """All floats, fields declared out of key order."""
+    zulu: float
+    alpha: float
+    mike: float
+
+
+@dataclasses.dataclass(frozen=True)
+class FlatChild(Flat):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class FlatPlus(Flat):
+    extra: float = 2.5
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    alpha: float
+    beta: float
+
+
 FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1e22, -1e16, 0.1])
 SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
@@ -257,8 +281,54 @@ VALUES = st.recursive(SCALARS, lambda inner: (
                 label=st.text())), max_leaves=20)
 
 
+FINITE = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 1e-7, -1e16, 0.1]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+# field values that send a run of Flat objects down the item-by-item path
+SPOILERS = (st.sampled_from([math.nan, math.inf, -math.inf]) | FINITE.map(np.float64)
+            | st.integers() | st.booleans())
+
+
+@st.composite
+def flat_runs(draw):
+    """A list or tuple of Flat objects of finite floats, and whether one item
+    was spoiled by a field that is not a finite float or by another class."""
+    items = draw(st.lists(st.builds(Flat, zulu=FINITE, alpha=FINITE, mike=FINITE),
+                          max_size=6))
+    spoil = draw(st.sampled_from(["none", "field", "class"])) if items else "none"
+    if spoil != "none":
+        k = draw(st.integers(0, len(items) - 1))
+        if spoil == "field":
+            name = draw(st.sampled_from(["zulu", "alpha", "mike"]))
+            items[k] = dataclasses.replace(items[k], **{name: draw(SPOILERS)})
+        else:
+            cls = draw(st.sampled_from([FlatChild, FlatPlus, Pair]))
+            item = items[k]
+            items[k] = (Pair(alpha=item.alpha, beta=item.zulu) if cls is Pair
+                        else cls(zulu=item.zulu, alpha=item.alpha, mike=item.mike))
+    return (tuple(items) if draw(st.booleans()) else items), spoil != "none"
+
+
+def nested(value, wrappers):
+    """``value`` inside a list, an object and a dataclass, one per wrapper."""
+    for wrapper in wrappers:
+        value = {"list": [value, 1.5], "dict": {"run": value, "z": None},
+                 "node": Node(items=(value,), child=-0.0, label="n")}[wrapper]
+    return value
+
+
 class TestReportBytes:
     """report_json_bytes writes exactly what json.dumps wrote from to_jsonable."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat_runs(), st.lists(st.sampled_from(["list", "dict", "node"]), max_size=4))
+    def test_float_records_match_oracle(self, run, wrappers):
+        # runs of two or more unspoiled Flat objects are written in one format
+        # call, every other run item by item; both at every indent depth
+        items, spoiled = run
+        bulk = serialization._float_records_json(items, "\n")
+        assert (bulk is not None) == (len(items) >= 2 and not spoiled)
+        report = nested(items, wrappers)
+        assert report_json_bytes(report) == oracle_json_bytes(report)
 
     @settings(max_examples=300, deadline=None)
     @given(VALUES, st.none() | VALUES)
@@ -276,16 +346,30 @@ class TestReportBytes:
         ["verify", "--dims", "2..3", "--samples", "50"],
     ], ids=["characterize-qnd", "verify"])
     def test_cli_reports_match_oracle(self, argv, tmp_path, monkeypatch):
-        written = []
+        written, bulk = [], []
+        float_records_json = serialization._float_records_json
 
         def recording(report, manifest=None):
             data = report_json_bytes(report, manifest)
-            written.append((data, oracle_json_bytes(report, manifest)))
+            written.append((report, data, oracle_json_bytes(report, manifest)))
             return data
 
+        def counting(items, nl):
+            text = float_records_json(items, nl)
+            if text is not None:
+                bulk.append(items)
+            return text
+
         monkeypatch.setattr(cli, "report_json_bytes", recording)
+        monkeypatch.setattr(serialization, "_float_records_json", counting)
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-        [(data, expected)] = written
+        [(report, data, expected)] = written
         assert b'"timestamp": "' in data
         assert data == expected
         assert [p.read_bytes() for p in tmp_path.glob("*.json")] == [data]
+        # every run of two or more disturbance records, and nothing else, is
+        # written in bulk; the verify report has no such run
+        runs = [row.disturbance_report.records for outcome in getattr(report, "outcomes", ())
+                for row in outcome.rows if len(row.disturbance_report.records) >= 2]
+        assert [id(items) for items in bulk] == [id(items) for items in runs]
+        assert len(bulk) == {"characterize": 22 * 2, "verify": 0}[argv[0]]  # outcomes x {n, x}
