@@ -9,7 +9,7 @@ classical-teleportation, eavesdropping and cloning scenarios.
 
 __version__ = "0.1.0"
 
-from .backaction import DisturbanceRecord, DisturbanceReport
+from .backaction import DisturbanceReport
 from .characterize import (
     CharacterizationReport,
     ObservableRow,

@@ -138,18 +138,19 @@ def _pair_checks(obs_a: HermitianObservable, obs_b: HermitianObservable, var_a: 
 
 
 def _narrowed(operators: Sequence[np.ndarray], observables: Mapping[str, HermitianObservable]):
-    """The operators and observables as float64 copies when every operator and
-    every observable's matrix and eigenvectors is exactly real, else as given.
-    One dtype holds for the whole call: a real @ complex product would upcast a
-    fresh complex copy of its real operand on every matmul. The operators are
-    copied one at a time as the caller iterates, so no second set is held."""
+    """The operators as given and the observables as float64 copies when every
+    operator is real and every observable's matrix and eigenvectors is exactly
+    real; else the observables as given and each operator as complex128. One
+    dtype holds for the whole call: a real @ complex product would upcast a
+    fresh complex copy of its real operand on every matmul. A real operator is
+    widened only as the caller reaches it, so no second set is held."""
     obs = {name: replace(o, matrix=real_if_exact(o.matrix),
                          eigenvectors=real_if_exact(o.eigenvectors))
            for name, o in observables.items()}
     arrays = (a for o in obs.values() for a in (o.matrix, o.eigenvectors))
-    if any(np.iscomplexobj(a) for a in arrays) or any(np.any(op.imag) for op in operators):
-        return operators, observables
-    return map(real_if_exact, operators), obs
+    if any(np.iscomplexobj(a) for a in (*arrays, *operators)):
+        return (op.astype(np.complex128, copy=False) for op in operators), observables
+    return operators, obs
 
 
 def characterize(kraus: KrausSet, observables: Mapping[str, HermitianObservable],

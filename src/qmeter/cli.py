@@ -40,6 +40,7 @@ from .serialization import (
     report_json_bytes,
     report_tables,
     sha256_path,
+    table_cells,
     write_table,
 )
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_verification_suite
@@ -191,11 +192,11 @@ def cmd_characterize(args) -> int:
                           outcomes=args.outcome)
     manifest = make_manifest(args.argv, inputs, {"tol": args.tol}, None, __version__)
 
-    header, rows = characterization_rows(report)
-    widths = [max(len(str(h)), 12) for h in header]
+    header, runs = characterization_rows(report)
+    widths = [max(len(h), 12) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+    for row in table_cells(header, runs):
+        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     for outcome in report.outcomes:
         for pair in outcome.pairs:
             rc, dc = pair.resolution_check, pair.disturbance_check

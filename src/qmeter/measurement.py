@@ -35,6 +35,8 @@ class KrausSet:
 
     ``complete`` records intent: sets built for a single-outcome
     characterization may deliberately skip completeness (a "partial set").
+    Each operator is stored read-only: float64 when its imaginary parts are
+    all exactly 0.0, complex128 otherwise.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -43,7 +45,7 @@ class KrausSet:
 
     def __post_init__(self):
         ops = tuple(
-            require_square(as_complex_matrix(op, f"operator {i}"), f"operator {i}")
+            real_if_exact(require_square(as_complex_matrix(op, f"operator {i}"), f"operator {i}"))
             for i, op in enumerate(self.operators)
         )
         if not ops:
@@ -81,11 +83,10 @@ class CompletenessReport:
 
 
 def completeness_deviation(kraus: KrausSet) -> float:
-    """|| sum_m M_m'M_m - 1 ||_max; an exactly real M_m forms its Gram matrix in
-    real arithmetic."""
+    """|| sum_m M_m'M_m - 1 ||_max; a real M_m forms its Gram matrix in real
+    arithmetic."""
     total = np.zeros((kraus.dim, kraus.dim), dtype=np.complex128)
     for op in kraus.operators:
-        op = real_if_exact(op)
         total += op.conj().T @ op
     return float(np.max(np.abs(total - np.eye(kraus.dim))))
 

@@ -72,7 +72,7 @@ def photon_detector_preset(space: BosonicSpace) -> KrausSet:
     Deliberately partial: only the one-photon outcome is modeled, so the set
     is flagged incomplete.
     """
-    op = np.zeros((space.levels, space.levels), dtype=np.complex128)
+    op = np.zeros((space.levels, space.levels))
     op[0, 1] = 1.0
     return KrausSet(operators=(op,), labels=("n=1",), complete=False)
 
@@ -101,7 +101,7 @@ def qnd_preset(space: BosonicSpace, pointer_sigma: float,
             f"grid gives photon number {missing} zero total weight; widen or "
             "densify the outcome grid")
     coeffs = np.sqrt(weights / per_level)
-    ops = tuple(np.diag(coeffs[i].astype(np.complex128)) for i in range(len(grid)))
+    ops = tuple(np.diag(row) for row in coeffs)
     labels = tuple(f"m={g:g}" for g in grid)
     return KrausSet(operators=ops, labels=labels, complete=True)
 

@@ -11,14 +11,17 @@ without its pure-Python indenting encoder or a copy of the report. Non-finite
 floats are written as the strings "nan", "inf" and "-inf". Identical runs give
 identical bytes apart from the manifest timestamp.
 
-A list or tuple of two or more objects of one dataclass type (``type(x) is
-cls`` for every item) with two or more fields, whose field values are all
-finite ``float`` (not a float subclass such as ``np.float64``, nor ``int`` or
-``bool``), is written in bulk: one ``%`` format of a ``%r`` template cached
-per (type, indent), so all its float formatting runs in C. The disturbance
-records of a characterization take this path. Any other value, including
-such a list holding a nan, an infinity, a numpy scalar, an integer or a mix of
-types, goes item by item, with the same bytes.
+Disturbance records are held as float64 columns. A run of two or more
+records, all finite, is written in one ``%`` format of a ``%r`` template of
+one record, cached per indent, over the interleaved columns' ``tolist()``,
+so all its float formatting runs in C; a run holding a nan or an infinity
+goes record by record, with the same bytes as json.dumps.
+
+Flat tables are runs of rows that share their leading text cells (see
+``write_table``): the records table has one run per (outcome, observable).
+Each run is written with one ``%`` format as well, its labels quoted once as
+``csv.writer`` quotes them, so the CSV bytes are those csv.writer writes for
+the rows with every value cell given as its repr.
 """
 
 from __future__ import annotations
@@ -27,18 +30,18 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
-import operator
 import time
 from collections.abc import Mapping
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from .backaction import DisturbanceRecords
 from .characterize import CharacterizationReport
 from .errors import DimensionMismatch, NotHermitian, SchemaError, UnknownObservable
 from .measurement import KrausSet
@@ -199,36 +202,38 @@ def _dataclass_keys(cls: type) -> tuple[tuple[str, str], ...] | None:
                  for name in sorted(f.name for f in dataclasses.fields(cls)))
 
 
+# Disturbance-record keys in the sorted order of their JSON objects.
+_RECORD_KEYS = tuple(sorted(f.name for f in dataclasses.fields(DisturbanceRecords)))
+
+
+def _record_columns(records: DisturbanceRecords, keys) -> np.ndarray:
+    """The records as a (rows, len(keys)) float64 array, columns in ``keys`` order."""
+    return np.column_stack([getattr(records, key) for key in keys])
+
+
 @functools.cache
-def _float_record_format(cls: type, nl: str) -> tuple[operator.attrgetter, str] | None:
-    """For a dataclass type of two or more fields, a getter of one object's
-    field values in sorted-key order and the ``%r`` template of that object
-    starting on the line ``nl``; None for any other type."""
-    keys = _dataclass_keys(cls)
-    if keys is None or len(keys) < 2:
-        return None
+def _record_template(nl: str) -> str:
+    """The ``%r`` template of one disturbance record's JSON object, keys
+    sorted, starting on the line ``nl``."""
     inner = nl + _INDENT
-    template = "{" + inner + ("," + inner).join(key + "%r" for _, key in keys) + nl + "}"
-    return operator.attrgetter(*(name for name, _ in keys)), template
+    return ("{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key) + ": %r" for key in _RECORD_KEYS) + nl + "}")
 
 
-def _float_records_json(items, nl: str) -> str | None:
-    """The JSON array of a list or tuple of two or more objects of one
-    dataclass type whose field values are all finite floats, in one format
-    call; None for any other list or tuple. ``nl`` is the newline plus indent
-    of the line the array starts on."""
-    if len(items) < 2:
-        return None
-    cls = type(items[0])
+def _records_json(records: DisturbanceRecords, nl: str) -> str:
+    """The JSON array of disturbance records, one key-sorted object per row,
+    starting on the line ``nl``. Two or more rows, all finite, are written in
+    one format call; any other run goes row by row, nan and the infinities as
+    strings."""
+    table = _record_columns(records, _RECORD_KEYS)
     inner = nl + _INDENT
-    fmt = _float_record_format(cls, inner)
-    if fmt is None or not all(type(x) is cls for x in items):
-        return None
-    getter, template = fmt
-    values = tuple(chain.from_iterable(map(getter, items)))
-    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
-        return None
-    return "[" + inner + ("," + inner).join([template] * len(items)) % values + nl + "]"
+    if len(table) >= 2 and np.isfinite(table).all():
+        body = ("," + inner).join([_record_template(inner)] * len(table))
+        return "[" + inner + body % tuple(table.ravel().tolist()) + nl + "]"
+    parts: list[str] = []
+    _write_container("[]", [("", dict(zip(_RECORD_KEYS, row))) for row in table.tolist()],
+                     nl, parts.append)
+    return "".join(parts)
 
 
 def _float_json(value: float) -> str:
@@ -267,6 +272,9 @@ def _write_json(value, nl: str, out) -> None:
     if cls is float:
         out(_float_json(value))
         return
+    if cls is DisturbanceRecords:
+        out(_records_json(value, nl))
+        return
     keys = _dataclass_keys(cls)
     if keys is not None:
         _write_container("{}", [(key, getattr(value, name)) for name, key in keys], nl, out)
@@ -283,11 +291,7 @@ def _write_json(value, nl: str, out) -> None:
     elif isinstance(value, float):
         out(_float_json(value))
     elif isinstance(value, (list, tuple)):
-        text = _float_records_json(value, nl)
-        if text is None:
-            _write_container("[]", [("", item) for item in value], nl, out)
-        else:
-            out(text)
+        _write_container("[]", [("", item) for item in value], nl, out)
     elif isinstance(value, Mapping):
         items = sorted({str(k): v for k, v in value.items()}.items())
         _write_container("{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in items],
@@ -317,98 +321,122 @@ def report_json_bytes(report, manifest: "RunManifest | None" = None) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def write_table(path, header: list[str], rows: list[list], fmt: str = "csv") -> None:
-    """Write rows as CSV, or gnuplot-friendly TSV with a # header."""
-    path = Path(path)
+def write_table(path, header: list[str], runs, fmt: str = "csv") -> None:
+    """Write a table as CSV, or gnuplot-friendly TSV with a # header.
+
+    ``runs`` holds (labels, values) pairs: the text cells that open one or
+    more rows, and the remaining cells of those rows, row after row, as Python
+    floats, ints and bools written as their repr. Each row has
+    ``len(header) - len(labels)`` values; a run whose labels fill the header
+    is one row. Every run is written with one ``%`` format, its labels quoted
+    once as csv.writer quotes them."""
     if fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+
+        def line(cells) -> str:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(cells)
+            return buf.getvalue()
+        sep, end, head = ",", "\r\n", line(header)
     elif fmt == "tsv":
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("# " + "\t".join(header) + "\n")
-            for row in rows:
-                fh.write("\t".join(str(v) for v in row) + "\n")
+        def line(cells) -> str:
+            return "\t".join(cells) + "\n"
+        sep, end, head = "\t", "\n", "# " + line(header)
     else:
         raise ValueError(f"unknown table format {fmt!r}")
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(head)
+        for labels, values in runs:
+            width = len(header) - len(labels)
+            if not width:
+                fh.write(line(labels))
+                continue
+            # the labels and a placeholder cell, cut before the placeholder
+            prefix = line([*labels, "x"])[:-1 - len(end)].replace("%", "%%")
+            template = prefix + sep.join(["%r"] * width) + end
+            fh.write(template * (len(values) // width) % tuple(values))
 
 
-def characterization_rows(report) -> tuple[list[str], list[list]]:
+def table_cells(header: list[str], runs):
+    """The rows of a table (see write_table) as lists of cell text."""
+    for labels, values in runs:
+        width = len(header) - len(labels)
+        if not width:
+            yield list(labels)
+            continue
+        for i in range(0, len(values), width):
+            yield [*labels, *map(repr, values[i:i + width])]
+
+
+def characterization_rows(report) -> tuple[list[str], list]:
     """Flat per-(outcome, observable) rows for a characterization report."""
     header = ["outcome", "status", "observable", "estimate", "resolution", "disturbance"]
-    rows = []
+    runs = []
     for outcome in report.outcomes:
         if outcome.status != "ok":
-            rows.append([outcome.outcome, outcome.status, "", "", "", ""])
+            runs.append(((outcome.outcome, outcome.status, "", "", "", ""), ()))
             continue
         for row in outcome.rows:
-            rows.append([outcome.outcome, "ok", row.observable,
-                         repr(row.estimate), repr(row.resolution), repr(row.disturbance)])
-    return header, rows
+            runs.append(((outcome.outcome, "ok", row.observable),
+                         (row.estimate, row.resolution, row.disturbance)))
+    return header, runs
 
 
-def pair_rows(report) -> tuple[list[str], list[list]]:
+def pair_rows(report) -> tuple[list[str], list]:
     header = ["outcome", "observable_a", "observable_b",
               "resolution_a", "resolution_b", "pair_bound", "pair_slack", "pair_ok",
               "disturbance_b", "rd_bound", "rd_slack", "rd_ok"]
-    rows = []
+    runs = []
     for outcome in report.outcomes:
         for pair in outcome.pairs:
             rc, dc = pair.resolution_check, pair.disturbance_check
-            rows.append([outcome.outcome, pair.observable_a, pair.observable_b,
-                         repr(rc.var_a), repr(rc.var_b), repr(rc.bound),
-                         repr(rc.slack), rc.satisfied,
-                         repr(dc.disturbance), repr(dc.bound), repr(dc.slack),
-                         dc.satisfied])
-    return header, rows
+            runs.append(((outcome.outcome, pair.observable_a, pair.observable_b),
+                         (rc.var_a, rc.var_b, rc.bound, rc.slack, rc.satisfied,
+                          dc.disturbance, dc.bound, dc.slack, dc.satisfied)))
+    return header, runs
 
 
-def disturbance_record_rows(report) -> tuple[list[str], list[list]]:
-    """Per-final-value disturbance records across all outcomes and observables."""
+def disturbance_record_rows(report) -> tuple[list[str], list]:
+    """Per-final-value disturbance records across all outcomes and observables,
+    one run per (outcome, observable)."""
     header = ["outcome", "observable", "final_value", "weight",
               "random", "systematic", "total"]
-    rows = []
+    runs = []
     for outcome in report.outcomes:
         for row in outcome.rows:
-            for rec in row.disturbance_report.records:
-                rows.append([outcome.outcome, row.observable,
-                             repr(rec.final_value), repr(rec.weight),
-                             repr(rec.random), repr(rec.systematic), repr(rec.total)])
-    return header, rows
+            table = _record_columns(row.disturbance_report.records, header[2:])
+            runs.append(((outcome.outcome, row.observable), table.ravel().tolist()))
+    return header, runs
 
 
-def teleport_rows(report) -> tuple[list[str], list[list]]:
+def teleport_rows(report) -> tuple[list[str], list]:
     header = ["quadrature", "estimate", "resolution", "disturbance", "tail_mass"]
-    rows = [
-        ["x", repr(report.estimate.real), repr(report.resolution_x),
-         repr(report.disturbance_x), repr(report.tail_mass)],
-        ["y", repr(report.estimate.imag), repr(report.resolution_y),
-         repr(report.disturbance_y), repr(report.tail_mass)],
-    ]
-    return header, rows
+    runs = [(("x",), (report.estimate.real, report.resolution_x,
+                      report.disturbance_x, report.tail_mass)),
+            (("y",), (report.estimate.imag, report.resolution_y,
+                      report.disturbance_y, report.tail_mass))]
+    return header, runs
 
 
-def cloning_rows(report) -> tuple[list[str], list[list]]:
+def cloning_rows(report) -> tuple[list[str], list]:
     header = ["outcome", "observable", "estimate", "resolution", "disturbance"]
-    rows = [[row.outcome, report.observable, repr(row.estimate),
-             repr(row.resolution), repr(row.disturbance)] for row in report.rows]
-    return header, rows
+    runs = [((row.outcome, report.observable), (row.estimate, row.resolution, row.disturbance))
+            for row in report.rows]
+    return header, runs
 
 
-def eavesdrop_rows(report) -> tuple[list[str], list[list]]:
+def eavesdrop_rows(report) -> tuple[list[str], list]:
     header = ["observable", "outcome", "analytic", "empirical_mean",
               "std_error", "count", "within_three_se"]
-    rows = []
+    runs = []
     for block in report.bases:
-        rows.append([block.observable, "(all)", repr(block.analytic),
-                     repr(block.empirical.mean), repr(block.empirical.std_error),
-                     block.empirical.count, block.within_three_se])
-        for stat in block.outcomes:
-            rows.append([block.observable, stat.outcome, repr(stat.analytic),
-                         repr(stat.empirical.mean), repr(stat.empirical.std_error),
-                         stat.empirical.count, stat.within_three_se])
-    return header, rows
+        for outcome, stat in (("(all)", block), *((o.outcome, o) for o in block.outcomes)):
+            runs.append(((block.observable, outcome),
+                         (stat.analytic, stat.empirical.mean, stat.empirical.std_error,
+                          stat.empirical.count, stat.within_three_se)))
+    return header, runs
 
 
 # The flat tables written next to each report type, by table name.
@@ -422,9 +450,9 @@ _TABLES = {
 }
 
 
-def report_tables(report) -> dict[str, tuple[list[str], list[list]]]:
-    """Header and rows of every flat table of a report (a scenario's come from
-    its body); report types without tables give none."""
+def report_tables(report) -> dict[str, tuple[list[str], list]]:
+    """Header and runs (see write_table) of every flat table of a report (a
+    scenario's come from its body); report types without tables give none."""
     if isinstance(report, ScenarioReport):
         report = report.body
     return {name: rows(report) for name, rows in _TABLES.get(type(report), ())}

@@ -6,6 +6,7 @@ announced value, the estimates, resolutions and pair bound from R itself, the
 coherent-grid completeness sum, the eigenvalue grouping loop, the
 verification suite one case and one final result at a time, the
 eavesdropper's re-prepared disturbance from the Gram matrix, the
+disturbance records built and written one record at a time, the
 mixture-averaging lemma as standalone arithmetic), an input generator (random
 complete Kraus sets, random density matrices, Kraus-set files) or
 ``single_outcome``, which reads ``characterize`` for one operator. They live
@@ -15,6 +16,7 @@ use.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from qmeter import (
     eigendecompose,
     retrodictive_operator,
 )
-from qmeter.backaction import WEIGHT_FLOOR
+from qmeter.backaction import WEIGHT_FLOOR, transition_amplitudes
 from qmeter.measurement import SLACK_TOL, UNREACHABLE_TRACE_FLOOR, outcome_weight
 from qmeter.operators import (
     DEGENERACY_GAP,
@@ -208,6 +210,71 @@ def reprepared_disturbance(operator, observable: HermitianObservable) -> float:
     p = p / np.trace(gram).real
     gaps2 = (observable.eigenvalues[:, None] - observable.eigenvalues[None, :]) ** 2
     return float(p @ gaps2 @ p)
+
+
+# The disturbance records and their table as qmeter built and wrote them
+# before the records became float64 columns: one Python float at a time, and
+# one csv.writer row of repr'd cells per record. The column kernel and the
+# column writers must match them bit for bit and byte for byte.
+
+
+def disturbance_records(op, total: float, observable: HermitianObservable) -> list[tuple]:
+    """final_statistics' records as the per-record loop built them, each a
+    tuple (final_value, weight, random, systematic, total); systematic is
+    ``(value - mu1) ** 2`` on Python floats, which is libm pow."""
+    w2 = np.abs(transition_amplitudes(op, observable)) ** 2
+    q = w2.sum(axis=1)
+    kept = q / total >= WEIGHT_FLOOR
+    weights = q[kept] / total
+    probs = w2[kept] / q[kept, None]
+    vals = observable.eigenvalues
+    means = probs @ vals
+    variances = np.sum(probs * (vals - means[:, None]) ** 2, axis=1)
+    values, group_of = observable.group_table
+    group = group_of[kept]
+    n = len(values)
+    group_w = np.bincount(group, weights=weights, minlength=n)
+    share = weights / group_w[group]
+    mu1 = np.bincount(group, weights=share * means, minlength=n)
+    spread = variances + (means - mu1[group]) ** 2
+    random = np.bincount(group, weights=share * spread, minlength=n)
+    records = []
+    for value, w, m1, r in zip(values.tolist(), group_w.tolist(),
+                               mu1.tolist(), random.tolist()):
+        if w <= 0.0:
+            continue
+        systematic = (value - m1) ** 2
+        records.append((value, w, r, systematic, r + systematic))
+    return records
+
+
+def disturbance_record_rows(report) -> tuple[list[str], list[list]]:
+    """The records table of a characterization report, one row of cells per
+    record with every float as its repr."""
+    header = ["outcome", "observable", "final_value", "weight",
+              "random", "systematic", "total"]
+    rows = []
+    for outcome in report.outcomes:
+        for row in outcome.rows:
+            rec = row.disturbance_report.records
+            for values in zip(*(getattr(rec, key).tolist() for key in header[2:])):
+                rows.append([outcome.outcome, row.observable, *map(repr, values)])
+    return header, rows
+
+
+def write_rows(path, header: list[str], rows: list[list], fmt: str) -> None:
+    """Rows as CSV through csv.writer, or as TSV with a # header."""
+    path = Path(path)
+    if fmt == "csv":
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write("# " + "\t".join(header) + "\n")
+            for row in rows:
+                fh.write("\t".join(str(v) for v in row) + "\n")
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,7 +7,7 @@ import qmeter
 EXPORTS = [
     "BosonicOperators", "BosonicSpace", "CharacterizationReport", "CloningReport",
     "CoherentState", "CompletenessReport", "CompletenessUnachievable",
-    "DecompositionFailure", "DimensionMismatch", "DisturbanceRecord",
+    "DecompositionFailure", "DimensionMismatch",
     "DisturbanceReport", "EavesdropReport", "HermitianObservable", "IncompleteKrausSet",
     "InternalConsistencyError", "KrausSet", "NonUnitState", "NotHermitian",
     "ObservableRow", "OutcomeCharacterization", "PairCheck", "PairRow", "QmeterError",
@@ -27,4 +27,4 @@ def test_exported_names():
     exported = sorted(name for name in dir(qmeter) if not name.startswith("_")
                       and not isinstance(getattr(qmeter, name), types.ModuleType))
     assert exported == EXPORTS
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 48

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -243,10 +244,10 @@ class TestAveragedDisturbance:
             report = disturbance_report(
                 random_kraus_operator(dim, rng),
                 eigendecompose(random_hermitian(dim, rng)))
-            resummed = sum(r.weight * r.total for r in report.records)
+            rec = report.records
+            resummed = sum(w * t for w, t in zip(rec.weight.tolist(), rec.total.tolist()))
             assert resummed == pytest.approx(report.value, abs=1e-10)
-            for r in report.records:
-                assert r.total == pytest.approx(r.random + r.systematic, abs=1e-10)
+            assert rec.total == pytest.approx(rec.random + rec.systematic, abs=1e-10)
 
     def test_large_degenerate_eigenvalue_has_no_negative_random_part(self):
         # Three final results share the eigenvalue 300 and each retrodicts
@@ -258,17 +259,64 @@ class TestAveragedDisturbance:
             m = np.diag(rng.random(6) + 0.05).astype(complex)
             report = disturbance_report(m, obs)
             assert report.value == 0.0
-            assert [r.final_value for r in report.records] == [0.0, 1.0, 2.0, 300.0]
-            for r in report.records:
-                assert r.random == pytest.approx(0.0, abs=1e-12)
-                assert r.systematic == pytest.approx(0.0, abs=1e-9)
+            rec = report.records
+            assert rec.final_value.tolist() == [0.0, 1.0, 2.0, 300.0]
+            assert rec.random == pytest.approx(0.0, abs=1e-12)
+            assert rec.systematic == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_observable_grouping(self):
         rng = np.random.Generator(np.random.Philox(key=53))
         obs = eigendecompose(np.diag([1.0, 1.0, 2.0]))
         report = disturbance_report(random_kraus_operator(3, rng), obs)
-        assert [r.final_value for r in report.records] == [1.0, 2.0]
-        assert sum(r.weight for r in report.records) == pytest.approx(1.0, abs=1e-10)
+        assert report.records.final_value.tolist() == [1.0, 2.0]
+        assert sum(report.records.weight.tolist()) == pytest.approx(1.0, abs=1e-10)
+
+
+def spy_final_statistics(monkeypatch) -> list[tuple]:
+    """Record every (op, total, observable, result) of characterize's kernel."""
+    module = importlib.import_module("qmeter.characterize")
+    final_statistics, calls = module.final_statistics, []
+
+    def spy(op, total, observable):
+        result = final_statistics(op, total, observable)
+        calls.append((op, total, observable, result))
+        return result
+
+    monkeypatch.setattr(module, "final_statistics", spy)
+    return calls
+
+
+def assert_records_match_loop(calls):
+    """Every record column of each kernel result equals the per-record loop's
+    bit for bit, compared as uint64."""
+    for op, total, observable, result in calls:
+        rec = result.report.records
+        got = np.column_stack([rec.final_value, rec.weight, rec.random, rec.systematic,
+                               rec.total])
+        want = np.array(oracles.disturbance_records(op, total, observable),
+                        dtype=np.float64).reshape(-1, 5)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_record_columns_keep_the_loop_bits_on_qnd_d120(monkeypatch):
+    # all 282 (outcome, observable) runs of the d=120 preset, where libm's
+    # pow(x, 2) and x * x part in the last bit of some systematic parts
+    calls = spy_final_statistics(monkeypatch)
+    characterize(qnd_preset(BosonicSpace(120), 5.0, range(-10, 131)),
+                 {"n": named_observable("n", 120), "x": named_observable("x", 120)},
+                 [("n", "x")])
+    assert len(calls) == 141 * 2
+    assert_records_match_loop(calls)
+
+
+def test_record_columns_keep_the_loop_bits_on_degenerate_spectrum(monkeypatch):
+    obs = eigendecompose(np.diag([300.0, 300.0, 300.0, 0.0, 1.0, 2.0]))
+    rng = np.random.Generator(np.random.Philox(key=3))
+    calls = spy_final_statistics(monkeypatch)
+    for _ in range(100):
+        disturbance_report(np.diag(rng.random(6) + 0.05).astype(complex), obs)
+    assert len(calls) == 100
+    assert_records_match_loop(calls)
 
 
 def decomposition(m, obs_a, obs_b):
@@ -567,14 +615,15 @@ def assert_matches_scalar_path(m, obs_a, obs_b):
     scale_a, scale_b = (max(1.0, float(np.max(np.abs(o.eigenvalues)))) for o in (obs_a, obs_b))
     records, averaged_bound = scalar_reference(m, obs_a, obs_b)
     report = disturbance_report(m, obs_b)
-    assert [r.final_value for r in report.records] == [r[0] for r in records]
-    for got, (_, weight, random, systematic) in zip(report.records, records):
+    got = report.records
+    assert got.final_value.tolist() == [r[0] for r in records]
+    for k, (_, weight, random, systematic) in enumerate(records):
         tol = record_tolerance(weight)
         close = dict(rel=tol, abs=tol * scale_b ** 2)
-        assert got.weight == pytest.approx(weight, rel=1e-9, abs=1e-15)
-        assert got.random == pytest.approx(random, **close)
-        assert got.systematic == pytest.approx(systematic, **close)
-        assert got.total == got.random + got.systematic
+        assert got.weight[k] == pytest.approx(weight, rel=1e-9, abs=1e-15)
+        assert got.random[k] == pytest.approx(random, **close)
+        assert got.systematic[k] == pytest.approx(systematic, **close)
+    assert np.array_equal(got.total, got.random + got.systematic)
     check = disturbance_check(m, obs_a, obs_b)
     assert check.averaged_bound == pytest.approx(
         averaged_bound, rel=1e-9, abs=1e-9 * (scale_a * scale_b) ** 2)
@@ -606,7 +655,7 @@ def test_final_results_at_the_weight_floor(dim, seed):
     m = obs_b.eigenvectors @ np.diag(np.sqrt(c2)) @ random_unitary(dim, rng).conj().T
     kept = [j.eigen_index for j in joint_retrodictions(m, obs_b)]
     assert above in kept and below not in kept
-    values = [r.final_value for r in disturbance_report(m, obs_b).records]
+    values = disturbance_report(m, obs_b).records.final_value.tolist()
     assert obs_b.eigenvalues[above] in values
     assert obs_b.eigenvalues[below] not in values
     assert_matches_scalar_path(m, obs_a, obs_b)
@@ -661,7 +710,7 @@ def test_rank_deficient_rows_and_bounds_match_retrodictive_path(dim, seed):
     c2[below] = 0.5 * WEIGHT_FLOOR * c2.sum()
     m = obs_b.eigenvectors @ np.diag(np.sqrt(c2)) @ random_unitary(dim, rng).conj().T
     report = assert_matches_retrodictive_path(KrausSet((m,), complete=False), obs_a, obs_b)
-    values = [r.final_value for r in report.outcomes[0].rows[1].disturbance_report.records]
+    values = report.outcomes[0].rows[1].disturbance_report.records.final_value.tolist()
     assert not set(obs_b.eigenvalues[np.concatenate([zero, below])]) & set(values)
 
 
@@ -708,11 +757,11 @@ def assert_real_path_matches_complex_path(kraus, obs_a, obs_b):
             close(row.disturbance, row_ref.disturbance, scale ** 2)
             dist, dist_ref = row.disturbance_report, row_ref.disturbance_report
             close(dist.trace_form, dist_ref.trace_form, scale ** 2)
-            for rec, rec_ref in zip(dist.records, dist_ref.records, strict=True):
-                assert rec.final_value == rec_ref.final_value
-                close(rec.weight, rec_ref.weight, 1.0)
-                for field in ("random", "systematic", "total"):
-                    close(getattr(rec, field), getattr(rec_ref, field), scale ** 2)
+            rec, rec_ref = dist.records, dist_ref.records
+            assert rec.final_value.tolist() == rec_ref.final_value.tolist()
+            close(rec.weight, rec_ref.weight, 1.0)
+            for field in ("random", "systematic", "total"):
+                close(getattr(rec, field), getattr(rec_ref, field), scale ** 2)
         for pair, pair_ref in zip(got.pairs, want.pairs, strict=True):
             res, res_ref = pair.resolution_check, pair_ref.resolution_check
             dis, dis_ref = pair.disturbance_check, pair_ref.disturbance_check

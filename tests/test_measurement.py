@@ -20,10 +20,13 @@ from qmeter import (
     characterize,
     eigendecompose,
     named_observable,
+    photon_detector_preset,
+    qnd_preset,
     retrodictive_operator,
     validate_completeness,
 )
 from qmeter.measurement import outcome_weight
+from qmeter.operators import BosonicSpace
 from qmeter.verify import moments, random_hermitian, random_kraus_operator
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -73,6 +76,21 @@ class TestCompleteness:
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             KrausSet(operators=(np.eye(2), np.eye(3)))
+
+    def test_operators_keep_their_exact_dtype(self):
+        # exactly real operators, given real or complex, are stored as float64;
+        # a single nonzero imaginary part keeps complex128; all read-only
+        tiny = np.eye(2, dtype=complex)
+        tiny[0, 1] = 1e-300j
+        ks = KrausSet(operators=(np.eye(2, dtype=complex), [[0, 1], [1, 0]], tiny,
+                                 proj(YPLUS)), complete=False)
+        assert [op.dtype for op in ks.operators] == [np.dtype(np.float64)] * 2 + \
+            [np.dtype(np.complex128)] * 2
+        assert not any(op.flags.writeable for op in ks.operators)
+        assert np.array_equal(ks.operators[2], tiny)
+        qnd = qnd_preset(BosonicSpace(6), 1.0, range(-2, 8))
+        photon = photon_detector_preset(BosonicSpace(3))
+        assert {op.dtype for op in (*qnd.operators, *photon.operators)} == {np.dtype(np.float64)}
 
 
 class TestOutcomeProbability:

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import tempfile
 from collections.abc import Mapping
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -10,10 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from oracles import random_complete_kraus_set, save_kraus_set
 from qmeter import cli, serialization
 from qmeter import (
+    CharacterizationReport,
+    CompletenessReport,
+    DisturbanceReport,
     KrausSet,
+    ObservableRow,
+    OutcomeCharacterization,
     SchemaError,
     ScenarioConfig,
     characterize,
@@ -32,7 +40,10 @@ from qmeter.serialization import (
     pair_rows,
     report_json_bytes,
     report_tables,
+    table_cells,
+    write_table,
 )
+from qmeter.backaction import DisturbanceRecords
 
 
 class TestMatrixLiteral:
@@ -142,13 +153,14 @@ class TestReportSerialization:
 
     def test_flat_tables(self):
         report = self.build_report()
-        header, rows = characterization_rows(report)
+        header, runs = characterization_rows(report)
         assert header[:3] == ["outcome", "status", "observable"]
-        assert len(rows) == 2  # one outcome x two observables
-        header, rows = pair_rows(report)
-        assert len(rows) == 1
-        header, rows = disturbance_record_rows(report)
-        assert len(rows) >= 2
+        assert len(list(table_cells(header, runs))) == 2  # one outcome x two observables
+        header, runs = pair_rows(report)
+        assert len(list(table_cells(header, runs))) == 1
+        header, runs = disturbance_record_rows(report)
+        rows = list(table_cells(header, runs))
+        assert len(runs) == 2 and len(rows) >= 2
         # values round-trip through repr
         value = float(rows[0][-1])
         assert value >= 0.0
@@ -184,7 +196,12 @@ class TestReportSerialization:
 
 
 def to_jsonable(value):
-    """Reference converter: the report as plain JSON-ready dicts and lists."""
+    """Reference converter: the report as plain JSON-ready dicts and lists,
+    disturbance records as a list of one dict per record."""
+    if isinstance(value, DisturbanceRecords):
+        keys = [f.name for f in dataclasses.fields(value)]
+        return [to_jsonable(dict(zip(keys, row)))
+                for row in zip(*(getattr(value, key).tolist() for key in keys))]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: to_jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
@@ -235,30 +252,6 @@ class Empty:
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class Flat:
-    """All floats, fields declared out of key order."""
-    zulu: float
-    alpha: float
-    mike: float
-
-
-@dataclasses.dataclass(frozen=True)
-class FlatChild(Flat):
-    pass
-
-
-@dataclasses.dataclass(frozen=True)
-class FlatPlus(Flat):
-    extra: float = 2.5
-
-
-@dataclasses.dataclass(frozen=True)
-class Pair:
-    alpha: float
-    beta: float
-
-
 FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1e22, -1e16, 0.1])
 SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
@@ -281,31 +274,35 @@ VALUES = st.recursive(SCALARS, lambda inner: (
                 label=st.text())), max_leaves=20)
 
 
-FINITE = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 1e-7, -1e16, 0.1]) | st.floats(
+RECORD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 1e-7, -1e16, 0.1]) | st.floats(
     allow_nan=False, allow_infinity=False)
-# field values that send a run of Flat objects down the item-by-item path
-SPOILERS = (st.sampled_from([math.nan, math.inf, -math.inf]) | FINITE.map(np.float64)
-            | st.integers() | st.booleans())
+# labels that csv.writer must quote, or leave alone, and a % for the template
+LABELS = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "%", "\t", "a", "é"]),
+                 max_size=4) | st.text(max_size=4)
 
 
 @st.composite
-def flat_runs(draw):
-    """A list or tuple of Flat objects of finite floats, and whether one item
-    was spoiled by a field that is not a finite float or by another class."""
-    items = draw(st.lists(st.builds(Flat, zulu=FINITE, alpha=FINITE, mike=FINITE),
-                          max_size=6))
-    spoil = draw(st.sampled_from(["none", "field", "class"])) if items else "none"
-    if spoil != "none":
-        k = draw(st.integers(0, len(items) - 1))
-        if spoil == "field":
-            name = draw(st.sampled_from(["zulu", "alpha", "mike"]))
-            items[k] = dataclasses.replace(items[k], **{name: draw(SPOILERS)})
-        else:
-            cls = draw(st.sampled_from([FlatChild, FlatPlus, Pair]))
-            item = items[k]
-            items[k] = (Pair(alpha=item.alpha, beta=item.zulu) if cls is Pair
-                        else cls(zulu=item.zulu, alpha=item.alpha, mike=item.mike))
-    return (tuple(items) if draw(st.booleans()) else items), spoil != "none"
+def record_runs(draw):
+    """DisturbanceRecords of 0 to 4 finite rows, or with one nan or infinity."""
+    n = draw(st.integers(0, 4))
+    cells = draw(st.lists(RECORD_FLOATS, min_size=5 * n, max_size=5 * n))
+    if n and draw(st.booleans()):
+        cells[draw(st.integers(0, 5 * n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return DisturbanceRecords(*np.array(cells, dtype=np.float64).reshape(5, n))
+
+
+def records_report(runs) -> CharacterizationReport:
+    """A characterization report with one (outcome, observable) row per
+    (outcome label, observable name, records) run."""
+    outcomes = tuple(OutcomeCharacterization(
+        outcome=label, status="ok", pairs=(), rows=(ObservableRow(
+            observable=name, estimate=0.0, resolution=0.0, disturbance=0.0,
+            disturbance_report=DisturbanceReport(observable=name, value=0.0, trace_form=0.0,
+                                                 records=records)),))
+        for label, name, records in runs)
+    return CharacterizationReport(completeness=CompletenessReport(0.0, 1e-9, True),
+                                  declared_complete=True, outcomes=outcomes)
 
 
 def nested(value, wrappers):
@@ -320,15 +317,26 @@ class TestReportBytes:
     """report_json_bytes writes exactly what json.dumps wrote from to_jsonable."""
 
     @settings(max_examples=300, deadline=None)
-    @given(flat_runs(), st.lists(st.sampled_from(["list", "dict", "node"]), max_size=4))
-    def test_float_records_match_oracle(self, run, wrappers):
-        # runs of two or more unspoiled Flat objects are written in one format
-        # call, every other run item by item; both at every indent depth
-        items, spoiled = run
-        bulk = serialization._float_records_json(items, "\n")
-        assert (bulk is not None) == (len(items) >= 2 and not spoiled)
-        report = nested(items, wrappers)
+    @given(record_runs(), st.lists(st.sampled_from(["list", "dict", "node"]), max_size=4))
+    def test_float_records_match_oracle(self, records, wrappers):
+        # a finite run of two or more records is written in one format call,
+        # any other run record by record; both at every indent depth
+        report = nested(records, wrappers)
         assert report_json_bytes(report) == oracle_json_bytes(report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(LABELS, LABELS, record_runs()), max_size=4))
+    def test_record_tables_match_oracle(self, runs):
+        # one % format per run against csv.writer and a tab join over repr'd
+        # cells, one row per record
+        report = records_report(runs)
+        assert report_json_bytes(report) == oracle_json_bytes(report)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "tsv"):
+                got, want = Path(tmp, f"got.{fmt}"), Path(tmp, f"want.{fmt}")
+                write_table(got, *report_tables(report)["disturbance_records"], fmt)
+                oracles.write_rows(want, *oracles.disturbance_record_rows(report), fmt)
+                assert got.read_bytes() == want.read_bytes()
 
     @settings(max_examples=300, deadline=None)
     @given(VALUES, st.none() | VALUES)
@@ -346,30 +354,36 @@ class TestReportBytes:
         ["verify", "--dims", "2..3", "--samples", "50"],
     ], ids=["characterize-qnd", "verify"])
     def test_cli_reports_match_oracle(self, argv, tmp_path, monkeypatch):
-        written, bulk = [], []
-        float_records_json = serialization._float_records_json
+        written, seen = [], []
+        records_json = serialization._records_json
 
         def recording(report, manifest=None):
             data = report_json_bytes(report, manifest)
             written.append((report, data, oracle_json_bytes(report, manifest)))
             return data
 
-        def counting(items, nl):
-            text = float_records_json(items, nl)
-            if text is not None:
-                bulk.append(items)
-            return text
+        def counting(records, nl):
+            seen.append(records)
+            return records_json(records, nl)
 
         monkeypatch.setattr(cli, "report_json_bytes", recording)
-        monkeypatch.setattr(serialization, "_float_records_json", counting)
+        monkeypatch.setattr(serialization, "_records_json", counting)
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
         [(report, data, expected)] = written
         assert b'"timestamp": "' in data
         assert data == expected
         assert [p.read_bytes() for p in tmp_path.glob("*.json")] == [data]
-        # every run of two or more disturbance records, and nothing else, is
-        # written in bulk; the verify report has no such run
+        # every run of disturbance records goes through the column writer, and
+        # each of characterize's holds two or more finite records, so it is
+        # written in one format call; the verify report has no records
         runs = [row.disturbance_report.records for outcome in getattr(report, "outcomes", ())
-                for row in outcome.rows if len(row.disturbance_report.records) >= 2]
-        assert [id(items) for items in bulk] == [id(items) for items in runs]
-        assert len(bulk) == {"characterize": 22 * 2, "verify": 0}[argv[0]]  # outcomes x {n, x}
+                for row in outcome.rows]
+        assert [id(records) for records in seen] == [id(records) for records in runs]
+        assert all(len(r.final_value) >= 2 and np.isfinite(np.stack(dataclasses.astuple(r))).all()
+                   for r in seen)
+        assert len(seen) == {"characterize": 22 * 2, "verify": 0}[argv[0]]  # outcomes x {n, x}
+        if runs:
+            oracles.write_rows(tmp_path / "want.csv", *oracles.disturbance_record_rows(report),
+                               "csv")
+            assert (tmp_path / "disturbance_records.csv").read_bytes() == \
+                (tmp_path / "want.csv").read_bytes()
